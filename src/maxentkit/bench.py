@@ -39,6 +39,8 @@ from .constraints import CoefficientMatrix
 from .errors import InputError, SolverError
 from .ising import (
     SpinModel,
+    _from_mask,
+    _to_mask,
     boltzmann,
     enumerate_models,
     product_rows,
@@ -215,9 +217,10 @@ class _Context:
 
         spin_masks = sorted(range(1, self.n_states), key=lambda m: (m.bit_count(), m))
         self.n_subsets = len(spin_masks)
-        subsets = [_mask_to_subset(m) for m in spin_masks]
-        self.subset_pos = {s: j for j, s in enumerate(subsets)}
-        self.subset_spin_mask = [_subset_spin_mask(s) for s in subsets]
+        subsets = [_from_mask(m) for m in spin_masks]
+        # Subset j: its spin mask, and back from spin mask to j.
+        self.subset_spin_mask = spin_masks
+        self.subset_pos = {m: j for j, m in enumerate(spin_masks)}
         # Row 0 is normalization; row 1 + j the product row of subset j.
         self.zeta = np.vstack(
             [np.ones((1, self.n_states)), product_rows(subsets, length)]
@@ -225,77 +228,35 @@ class _Context:
         self.zeta_int = self.zeta.astype(np.int64)
         self.zeta_bool = self.zeta.astype(bool)
 
-        self.closure_bits = []
-        for model in self.models:
-            bits = 0
-            for s in model.interactions:
-                bits |= 1 << self.subset_pos[s]
-            self.closure_bits.append(bits)
+        # Bit j of a model's closure bits is set iff subset j is in it.
+        self.closure_bits = np.array(
+            [
+                sum(1 << self.subset_pos[_to_mask(s)] for s in model.interactions)
+                for model in self.models
+            ],
+            dtype=np.int64,
+        )
         self.rank_full = np.array([m.rank for m in self.models])
-        self.truth_bits = self.closure_bits[self.truth_index]
+        self.truth_bits = int(self.closure_bits[self.truth_index])
         self.truth_size = self.truth_bits.bit_count()
 
-        groups: dict[int, list[int]] = defaultdict(list)
-        for i, model in enumerate(self.models):
-            groups[model.rank].append(i)
-        self.rank_groups = {
-            d: (np.array(idx), self._row_matrix(idx))
-            for d, idx in groups.items()
-        }
-        self._implying_cache: dict[int, np.ndarray] = {}
-
-    def _row_matrix(self, model_indices: Sequence[int]) -> np.ndarray:
-        out = np.empty((len(model_indices), 0), dtype=int)
-        rows = [
-            [0] + [1 + j for j in _bit_positions(self.closure_bits[i])]
-            for i in model_indices
-        ]
-        if rows:
-            out = np.array(rows, dtype=int)
-        return out
+    def _row_matrix(self, model_indices: np.ndarray) -> np.ndarray:
+        """Row indices into ``zeta`` of same-rank models, one per line."""
+        bits = self.closure_bits[model_indices]
+        member = (bits[:, None] >> np.arange(self.n_subsets)) & 1
+        cols = np.nonzero(member)[1].reshape(len(model_indices), -1)
+        return np.hstack([np.zeros((len(model_indices), 1), dtype=int), 1 + cols])
 
     def implying(self, i: int) -> np.ndarray:
         """Indices of models whose closure contains model ``i``'s."""
-        cached = self._implying_cache.get(i)
-        if cached is None:
-            ci = self.closure_bits[i]
-            cached = np.array(
-                [j for j, cj in enumerate(self.closure_bits) if cj & ci == ci],
-                dtype=int,
-            )
-            if len(self._implying_cache) > 4096:
-                self._implying_cache.clear()
-            self._implying_cache[i] = cached
-        return cached
+        ci = self.closure_bits[i]
+        return np.flatnonzero((self.closure_bits & ci) == ci)
 
 
-def _mask_to_subset(mask: int) -> tuple[int, ...]:
-    out = []
-    i = 1
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
-
-
-def _subset_spin_mask(subset: tuple[int, ...]) -> int:
-    m = 0
-    for i in subset:
-        m |= 1 << (i - 1)
-    return m
-
-
-def _bit_positions(bits: int) -> list[int]:
-    out = []
-    j = 0
-    while bits:
-        if bits & 1:
-            out.append(j)
-        bits >>= 1
-        j += 1
-    return out
+def _rows_of(bits: int) -> list[int]:
+    """Row indices into ``zeta`` of a closure: normalization, then one
+    per set bit (``_from_mask`` lists set bits 1-based)."""
+    return [0, *_from_mask(int(bits))]
 
 
 @dataclass
@@ -319,37 +280,27 @@ def _fit_all_models(ctx: _Context, counts: np.ndarray, n: int) -> _FitTable:
     valid = np.zeros(n_models, dtype=bool)
     robust: list[int] = []
 
-    zero_bits = 0
-    sat_bits = 0
-    for j in range(ctx.n_subsets):
-        c = m_counts[1 + j]
-        if c == 0:
-            zero_bits |= 1 << j
-        elif c == n:
-            sat_bits |= 1 << j
-
-    if zero_bits == 0 and sat_bits == 0:
-        for d, (midx, rmat) in ctx.rank_groups.items():
-            if d == a:
-                probs[midx] = f
-                valid[midx] = True
-                continue
-            batch_p, _, done = _newton_batch(ctx.zeta[rmat], m_frac[rmat])
-            probs[midx[done]] = batch_p[done]
-            valid[midx[done]] = True
-            robust.extend(int(i) for i in midx[~done])
-    else:
-        patterns: dict[tuple[int, int], list[int]] = defaultdict(list)
-        for i, bits in enumerate(ctx.closure_bits):
-            patterns[(bits & zero_bits, bits & sat_bits)].append(i)
-        for (z, t), members in patterns.items():
-            _fit_pattern(
-                ctx, z, t, members, m_frac, f, probs, rank_eff, valid, robust
-            )
+    subset_bits = np.left_shift(1, np.arange(ctx.n_subsets, dtype=np.int64))
+    zero_bits = int(subset_bits[m_counts[1:] == 0].sum())
+    sat_bits = int(subset_bits[m_counts[1:] == n].sum())
+    keys = np.stack([ctx.closure_bits & zero_bits, ctx.closure_bits & sat_bits], axis=1)
+    patterns, inverse = np.unique(keys, axis=0, return_inverse=True)
+    inverse = inverse.ravel()
+    # A sub-model's pattern is contained in its child's, so taking
+    # patterns by boundary-bit count reaches the sub-model's first.
+    order = sorted(
+        range(len(patterns)),
+        key=lambda k: int(patterns[k, 0]).bit_count() + int(patterns[k, 1]).bit_count(),
+    )
+    for k in order:
+        _fit_pattern(
+            ctx, int(patterns[k, 0]), int(patterns[k, 1]),
+            np.flatnonzero(inverse == k), m_frac, f, probs, rank_eff, valid, robust,
+        )
 
     n_failed = 0
     for i in robust:
-        rmat = [0] + [1 + j for j in _bit_positions(ctx.closure_bits[i])]
+        rmat = _rows_of(ctx.closure_bits[i])
         system = CoefficientMatrix(ctx.zeta[rmat], m_frac[rmat])
         try:
             try:
@@ -373,7 +324,7 @@ def _fit_pattern(
     ctx: _Context,
     zero_hit: int,
     sat_hit: int,
-    members: list[int],
+    members: np.ndarray,
     m_frac: np.ndarray,
     f: np.ndarray,
     probs: np.ndarray,
@@ -392,62 +343,59 @@ def _fit_pattern(
     """
     a = ctx.n_states
     if zero_hit == 0 and sat_hit == 0:
-        by_rank: dict[int, list[int]] = defaultdict(list)
-        for i in members:
-            by_rank[int(ctx.rank_full[i])].append(i)
-        for d, idx in by_rank.items():
-            midx = np.array(idx)
-            if d == a:
-                probs[midx] = f
-                valid[midx] = True
-                continue
-            rmat = ctx._row_matrix(idx)
-            batch_p, _, done = _newton_batch(ctx.zeta[rmat], m_frac[rmat])
-            probs[midx[done]] = batch_p[done]
-            valid[midx[done]] = True
-            robust.extend(int(i) for i in midx[~done])
-        return
+        # No state is excluded: a slice keeps the full rows as views.
+        working = np.s_[:]
+        ranks = ctx.rank_full[members]
+        saturated = members[ranks == a]
+        probs[saturated] = f
+        valid[saturated] = True
+        groups = []
+        for d in np.unique(ranks[ranks < a]):
+            midx = members[ranks == d]
+            groups.append((midx, ctx._row_matrix(midx)))
+    else:
+        zero_rows = list(_from_mask(zero_hit))
+        sat_rows = list(_from_mask(sat_hit))
+        working = ~(
+            ctx.zeta_bool[zero_rows].any(axis=0)
+            | ~ctx.zeta_bool[sat_rows].all(axis=0)
+        )
+        sat_spins = 0
+        for r in sat_rows:
+            sat_spins |= ctx.subset_spin_mask[r - 1]
+        n_working = int(working.sum())
+        n_excluded = a - n_working
 
-    excluded = np.zeros(a, dtype=bool)
-    sat_spins = 0
-    for j in _bit_positions(zero_hit):
-        excluded |= ctx.zeta_bool[1 + j]
-    for j in _bit_positions(sat_hit):
-        excluded |= ~ctx.zeta_bool[1 + j]
-        sat_spins |= ctx.subset_spin_mask[j]
-    working = ~excluded
-    n_working = int(working.sum())
-    n_excluded = a - n_working
+        reduced_rows: dict[int, list[int]] = {}
+        by_shape: dict[int, list[int]] = defaultdict(list)
+        for i in members.tolist():
+            kept = int(ctx.closure_bits[i]) & ~zero_hit & ~sat_hit
+            eff: set[int] = set()
+            for r in _from_mask(kept):
+                e_mask = ctx.subset_spin_mask[r - 1] & ~sat_spins
+                if e_mask:
+                    eff.add(1 + ctx.subset_pos[e_mask])
+            row_idx = [0, *sorted(eff)]
+            rank_eff[i] = len(row_idx) + n_excluded
+            if len(row_idx) >= n_working:
+                robust.append(i)
+            else:
+                reduced_rows[i] = row_idx
+                by_shape[len(row_idx)].append(i)
+        groups = [
+            (np.array(idx), np.array([reduced_rows[i] for i in idx], dtype=int))
+            for _, idx in sorted(by_shape.items())
+        ]
 
-    reduced_rows: dict[int, list[int]] = {}
-    by_shape: dict[int, list[int]] = defaultdict(list)
-    for i in members:
-        kept = ctx.closure_bits[i] & ~zero_hit & ~sat_hit
-        eff: set[int] = set()
-        for j in _bit_positions(kept):
-            e_mask = ctx.subset_spin_mask[j] & ~sat_spins
-            if e_mask:
-                eff.add(ctx.subset_pos[_mask_to_subset(e_mask)])
-        row_idx = [0] + sorted(1 + j for j in eff)
-        rank_eff[i] = len(row_idx) + n_excluded
-        if len(row_idx) >= n_working:
-            robust.append(i)
-        else:
-            reduced_rows[i] = row_idx
-            by_shape[len(row_idx)].append(i)
-
-    for d, idx in by_shape.items():
-        midx = np.array(idx)
-        rmat = np.array([reduced_rows[i] for i in idx], dtype=int)
+    for midx, rmat in groups:
         rows = ctx.zeta[rmat][:, :, working]
         batch_p, _, done = _newton_batch(rows, m_frac[rmat])
         done_idx = midx[done]
-        if done_idx.size:
-            block = np.zeros((done_idx.size, a))
-            block[:, working] = batch_p[done]
-            probs[done_idx] = block
-            valid[done_idx] = True
-        robust.extend(int(i) for i in midx[~done])
+        block = np.zeros((done_idx.size, a))
+        block[:, working] = batch_p[done]
+        probs[done_idx] = block
+        valid[done_idx] = True
+        robust.extend(midx[~done].tolist())
 
 
 def _log_probs(p: np.ndarray) -> np.ndarray:
@@ -525,7 +473,7 @@ def _run_task(ctx: _Context, realization: int, n: int, sample: int) -> dict:
             table.rank_eff, h_hat, p_value, bic_score, aic_score,
             table.valid, a, n, sel_cfg, ctx.implying,
         )
-        sel_bits = ctx.closure_bits[sel]
+        sel_bits = int(ctx.closure_bits[sel])
         tp = (sel_bits & ctx.truth_bits).bit_count() / ctx.truth_size
         fp_universe = ctx.n_subsets - ctx.truth_size
         fp = (
