@@ -8,14 +8,24 @@ truth's closure, and held-out samples give a test divergence for the
 picked model.
 
 The candidate sweep dominates the cost, so fits run through a batched
-Newton iteration grouped by rank.  Samples with boundary moments (a
-product count of exactly zero or exactly the sample size) are first
-split by their boundary pattern; within a pattern every affected model
+Newton iteration grouped by rank.  The models are first split by their
+boundary pattern: the subsets whose product count in the sample is
+exactly zero or exactly the sample size.  Within a pattern every model
 shares the same excluded states, so the reduced systems batch just as
-well.  Models the batch flags (singular, runaway, or unconverged) are
-refitted one at a time through the damped solver and proportional
-fitting; a model that still fails is dropped from that sample's
-candidate set with a warning.
+well; a sample without boundary moments is one pattern.
+
+Each model's Newton solve starts from the fit of its parent, the
+sub-model that drops its highest-order maximal interaction.  A parent's
+pattern is contained in its child's, so patterns are fitted in
+increasing order of boundary-bit count and, within one, batches in
+increasing rank; the parent's fit, restricted to the child's working
+states and renormalised, is a valid start (its log lies in the child's
+row space).  A model whose parent is not fitted yet starts from
+uniform.  Warm-started systems the batch flags (singular, runaway, or
+unconverged) are restarted once from uniform inside the batch; those
+still flagged are refitted one at a time through the damped solver and
+proportional fitting, and a model that still fails is dropped from
+that sample's candidate set with a warning.
 
 Every task (realization, sample size, sample index) reseeds its own
 generator from the configured seed, so reports are reproducible
@@ -240,6 +250,19 @@ class _Context:
         self.truth_bits = int(self.closure_bits[self.truth_index])
         self.truth_size = self.truth_bits.bit_count()
 
+        # A model's parent drops its highest subset, which is always a
+        # maximal interaction (subsets run by size), leaving a sub-model
+        # of rank one less.  The empty model has none (-1).
+        top = np.full(len(self.models), -1)
+        for j in range(self.n_subsets):
+            top[(self.closure_bits >> j) & 1 == 1] = j
+        has_parent = top >= 0
+        parent_bits = self.closure_bits ^ np.left_shift(1, np.maximum(top, 0))
+        by_bits = np.argsort(self.closure_bits)
+        slot = np.searchsorted(self.closure_bits[by_bits], parent_bits[has_parent])
+        self.parent = np.full(len(self.models), -1)
+        self.parent[has_parent] = by_bits[slot]
+
     def _row_matrix(self, model_indices: np.ndarray) -> np.ndarray:
         """Row indices into ``zeta`` of same-rank models, one per line."""
         bits = self.closure_bits[model_indices]
@@ -283,19 +306,19 @@ def _fit_all_models(ctx: _Context, counts: np.ndarray, n: int) -> _FitTable:
     subset_bits = np.left_shift(1, np.arange(ctx.n_subsets, dtype=np.int64))
     zero_bits = int(subset_bits[m_counts[1:] == 0].sum())
     sat_bits = int(subset_bits[m_counts[1:] == n].sum())
-    keys = np.stack([ctx.closure_bits & zero_bits, ctx.closure_bits & sat_bits], axis=1)
-    patterns, inverse = np.unique(keys, axis=0, return_inverse=True)
+    # No subset is both zero and saturated, so a model's boundary bits
+    # split back into its zero and saturated hits.
+    patterns, inverse = np.unique(
+        ctx.closure_bits & (zero_bits | sat_bits), return_inverse=True
+    )
     inverse = inverse.ravel()
     # A sub-model's pattern is contained in its child's, so taking
     # patterns by boundary-bit count reaches the sub-model's first.
-    order = sorted(
-        range(len(patterns)),
-        key=lambda k: int(patterns[k, 0]).bit_count() + int(patterns[k, 1]).bit_count(),
-    )
-    for k in order:
+    for k in sorted(range(len(patterns)), key=lambda k: int(patterns[k]).bit_count()):
+        hit = int(patterns[k])
         _fit_pattern(
-            ctx, int(patterns[k, 0]), int(patterns[k, 1]),
-            np.flatnonzero(inverse == k), m_frac, f, probs, rank_eff, valid, robust,
+            ctx, hit & zero_bits, hit & sat_bits, np.flatnonzero(inverse == k),
+            m_frac, f, probs, rank_eff, valid, robust,
         )
 
     n_failed = 0
@@ -340,6 +363,8 @@ def _fit_pattern(
     collapses to its non-saturated part and duplicates merge.  The
     reduced rows stay independent, which keeps the batch solver
     applicable; only a fully pinned working space needs the scalar path.
+    Batches run in increasing rank, so a parent in the same pattern is
+    fitted before its children and can seed them.
     """
     a = ctx.n_states
     if zero_hit == 0 and sat_hit == 0:
@@ -389,13 +414,44 @@ def _fit_pattern(
 
     for midx, rmat in groups:
         rows = ctx.zeta[rmat][:, :, working]
-        batch_p, _, done = _newton_batch(rows, m_frac[rmat])
+        batch_p, _, done = _newton_batch(
+            rows, m_frac[rmat], start=_seeds(ctx, midx, working, probs, valid)
+        )
         done_idx = midx[done]
         block = np.zeros((done_idx.size, a))
         block[:, working] = batch_p[done]
         probs[done_idx] = block
         valid[done_idx] = True
         robust.extend(midx[~done].tolist())
+
+
+def _seeds(
+    ctx: _Context,
+    midx: np.ndarray,
+    working,
+    probs: np.ndarray,
+    valid: np.ndarray,
+) -> Optional[np.ndarray]:
+    """Newton starts for one batch: each model's parent fit, restricted
+    to the working states and renormalised; uniform where the parent is
+    not fitted yet.  ``None`` when no model has a fitted parent.
+
+    The parent's pattern is contained in the child's, so its fit is
+    positive on the child's working states.  There each parent row
+    becomes 0, 1 or one of the child's reduced rows, so the log of the
+    restricted fit stays in the child's row space.
+    """
+    parent = ctx.parent[midx]
+    seeded = parent >= 0
+    seeded[seeded] = valid[parent[seeded]]
+    if not seeded.any():
+        return None
+    seed = probs[parent[seeded]][:, working]
+    seed /= seed.sum(axis=1, keepdims=True)
+    n_working = seed.shape[1]
+    start = np.full((midx.size, n_working), 1.0 / n_working)
+    start[seeded] = seed
+    return start
 
 
 def _log_probs(p: np.ndarray) -> np.ndarray:

@@ -469,6 +469,7 @@ def _newton_batch(
     row_stack: np.ndarray,
     target_stack: np.ndarray,
     *,
+    start: Optional[np.ndarray] = None,
     tolerance: float = 1e-10,
     max_iterations: int = 200,
     overflow: float = 200.0,
@@ -485,6 +486,13 @@ def _newton_batch(
     row_stack : ndarray, shape (g, d, a)
         Full-row-rank constraint rows for ``g`` systems.
     target_stack : ndarray, shape (g, d)
+    start : ndarray, shape (g, a), optional
+        Starting distributions; uniform when omitted.  Every row must be
+        strictly positive and its log must lie in the row space of its
+        system, as the fit of a sub-model's rows does.  Newton steps
+        keep the log in that space, so the solution is still the
+        maximum-entropy one.  Systems started here that the batch flags
+        are restarted once from uniform before being reported.
 
     Returns
     -------
@@ -493,7 +501,33 @@ def _newton_batch(
     converged : ndarray of bool, shape (g,)
     """
     n_systems, _, n_states = row_stack.shape
-    p = np.full((n_systems, n_states), 1.0 / n_states)
+    limits = (tolerance, max_iterations, overflow)
+    if start is None:
+        p = np.full((n_systems, n_states), 1.0 / n_states)
+        return _newton_iterate(row_stack, target_stack, p, *limits)
+    p, residuals, converged = _newton_iterate(
+        row_stack, target_stack, np.array(start, dtype=float), *limits
+    )
+    retry = np.flatnonzero(~converged)
+    if retry.size:
+        uniform = np.full((retry.size, n_states), 1.0 / n_states)
+        p[retry], residuals[retry], converged[retry] = _newton_iterate(
+            row_stack[retry], target_stack[retry], uniform, *limits
+        )
+    return p, residuals, converged
+
+
+def _newton_iterate(
+    row_stack: np.ndarray,
+    target_stack: np.ndarray,
+    p: np.ndarray,
+    tolerance: float,
+    max_iterations: int,
+    overflow: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The iteration of :func:`_newton_batch` from the iterates ``p``,
+    which it updates in place."""
+    n_systems = row_stack.shape[0]
     residuals = np.full(n_systems, np.inf)
     converged = np.zeros(n_systems, dtype=bool)
     active = np.arange(n_systems)

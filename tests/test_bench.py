@@ -13,7 +13,7 @@ from maxentkit.bench import (
     truth_csv,
 )
 from maxentkit.errors import InputError
-from maxentkit.ising import to_coefficients
+from maxentkit.ising import boltzmann, random_params, to_coefficients
 from maxentkit.solver import fit_linear_system
 
 TINY = dict(
@@ -25,6 +25,11 @@ TINY = dict(
     test_samples=5,
     seed=7,
 )
+
+
+@pytest.fixture(scope="module")
+def five_spin_ctx():
+    return _Context(BenchmarkConfig())
 
 
 @pytest.fixture(scope="module")
@@ -227,3 +232,33 @@ class TestFitTableCrossValidation:
             rows = to_coefficients(model, f).rows
             p = table.probabilities[k]
             assert np.max(np.abs(rows @ p - rows @ f)) < 1e-8
+
+    def test_five_spin_warm_started_table(self, five_spin_ctx):
+        """Warm starts along the parent chain must not move the five-spin
+        fits away from independent scalar fits."""
+        ctx = five_spin_ctx
+        rng = np.random.default_rng(3)
+        q = boltzmann(random_params(ctx.truth_model, rng)).probs
+        n = 100_000
+        counts = rng.multinomial(n, q)
+        table = _fit_all_models(ctx, counts.astype(np.int64), n)
+        f = counts / n
+        for k in range(0, len(ctx.models), 50):
+            fit = fit_linear_system(to_coefficients(ctx.models[k], f))
+            assert table.valid[k]
+            assert table.rank_eff[k] == fit.rank_effective
+            assert np.max(np.abs(table.probabilities[k] - fit.probabilities)) < 1e-7
+
+
+class TestParents:
+    def test_parent_is_a_sub_model_of_rank_one_less(self, five_spin_ctx):
+        ctx = five_spin_ctx
+        parent = ctx.parent
+        assert parent[0] == -1 and ctx.models[0].rank == 1
+        for i in range(1, len(ctx.models)):
+            j = parent[i]
+            assert 0 <= j < len(ctx.models)
+            assert ctx.models[j].rank == ctx.models[i].rank - 1
+            bits_i, bits_j = int(ctx.closure_bits[i]), int(ctx.closure_bits[j])
+            assert bits_j & bits_i == bits_j
+            assert set(ctx.models[j].interactions) <= set(ctx.models[i].interactions)

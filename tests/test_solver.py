@@ -18,6 +18,7 @@ from maxentkit.solver import (
     FitResult,
     SolveOptions,
     _newton_batch,
+    _newton_iterate,
     fit_linear_system,
     sample_equivalence_class,
     solve_ipf,
@@ -288,6 +289,41 @@ class TestNewtonBatch:
         probs, _, converged = _newton_batch(row_stack, target_stack)
         assert converged[0]
         assert not converged[1]
+
+
+    def test_start_from_sub_model_fit(self, rng):
+        systems = [random_system(rng, n_states=8, extra_rows=4) for _ in range(5)]
+        arches = [to_architecture(s) for s in systems]
+        # The sub-model keeps the first three rows; the log of its fit
+        # lies in their span, hence in the full system's row space.
+        subs = [
+            solve_newton(to_architecture(CoefficientMatrix(s.rows[:3], s.moments[:3])))
+            for s in systems
+        ]
+        row_stack = np.stack([a.rows for a in arches])
+        target_stack = np.stack([a.moments for a in arches])
+        cold, _, cold_ok = _newton_batch(row_stack, target_stack)
+        start = np.stack([sub.distribution.probs for sub in subs])
+        warm, residuals, warm_ok = _newton_batch(row_stack, target_stack, start=start)
+        assert cold_ok.all() and warm_ok.all()
+        assert residuals.max() <= 1e-10
+        assert np.max(np.abs(warm - cold)) < 1e-9
+
+    def test_runaway_start_restarts_from_uniform(self):
+        rows = marginal_2x2().rows
+        targets = np.array([1.0, 0.4, 0.7])
+        # Positive, with its log in the row space, but so far from the
+        # solution that undamped Newton runs away from it.
+        log_p = rows.T @ np.array([0.0, 10.0, -10.0])
+        start = np.exp(log_p - log_p.max())
+        start /= start.sum()
+        _, _, ok = _newton_iterate(
+            rows[None], targets[None], start[None].copy(), 1e-10, 200, 200.0
+        )
+        assert not ok[0]
+        probs, _, converged = _newton_batch(rows[None], targets[None], start=start[None])
+        assert converged[0]
+        assert np.max(np.abs(probs[0] - PRODUCT_2X2)) < 1e-9
 
 
 class TestEntropyGapStatistic:
