@@ -276,12 +276,6 @@ class _Context:
         return np.flatnonzero((self.closure_bits & ci) == ci)
 
 
-def _rows_of(bits: int) -> list[int]:
-    """Row indices into ``zeta`` of a closure: normalization, then one
-    per set bit (``_from_mask`` lists set bits 1-based)."""
-    return [0, *_from_mask(int(bits))]
-
-
 @dataclass
 class _FitTable:
     probabilities: np.ndarray
@@ -323,7 +317,9 @@ def _fit_all_models(ctx: _Context, counts: np.ndarray, n: int) -> _FitTable:
 
     n_failed = 0
     for i in robust:
-        rmat = _rows_of(ctx.closure_bits[i])
+        # Normalization, then row 1 + j per closure bit j: ``_from_mask``
+        # lists set bits 1-based.
+        rmat = [0, *_from_mask(int(ctx.closure_bits[i]))]
         system = CoefficientMatrix(ctx.zeta[rmat], m_frac[rmat])
         try:
             try:
