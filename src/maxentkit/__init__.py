@@ -59,6 +59,7 @@ from .ising import (
 from .selection import (
     ErrorEstimate,
     ModelScore,
+    ScoreTable,
     SelectionConfig,
     SelectionResult,
     aic,
@@ -90,6 +91,7 @@ from .solver import (
     MaxEntSolution,
     SolveOptions,
     fit_linear_system,
+    fit_linear_systems,
     sample_equivalence_class,
     solve_ipf,
     solve_newton,

@@ -56,7 +56,7 @@ from .ising import (
     product_rows,
     random_params,
 )
-from .selection import METHODS, SelectionConfig, select_arrays
+from .selection import _DELTA_NEGATIVE_LIMIT, METHODS, SelectionConfig, select_arrays
 from .simplex import entropy
 from .solver import _newton_batch, fit_linear_system
 
@@ -487,7 +487,7 @@ def _run_task(ctx: _Context, realization: int, n: int, sample: int) -> dict:
     with np.errstate(invalid="ignore"):
         h_hat = -xlogy(table.probabilities, table.probabilities).sum(axis=1)
     delta = h_hat - h_f
-    bad = table.valid & (delta < -1e-8)
+    bad = table.valid & (delta < -_DELTA_NEGATIVE_LIMIT)
     if bad.any():
         for i in np.flatnonzero(bad):
             log.warning(

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     InconsistentSystemError,
@@ -140,8 +139,9 @@ class ArchitectureMatrix:
             raise InputError("need exactly one moment per architecture row")
         _validate_rref(rows)
         col_sums = rows.sum(axis=0)
+        # np.allclose(col_sums, 1.0, atol=1e-8), without its overhead.
         if not (
-            np.allclose(col_sums, 1.0, atol=1e-8)
+            np.all(np.abs(col_sums - 1.0) <= 1e-8 + 1e-5)
             and abs(moments.sum() - 1.0) <= 1e-8
         ):
             # The normalization identity (unit column sums, moments summing
@@ -180,20 +180,32 @@ class ArchitectureMatrix:
 
 
 def _validate_rref(rows: np.ndarray) -> None:
-    last_pivot = -1
-    for i, row in enumerate(rows):
-        nz = np.flatnonzero(np.abs(row) > 1e-12)
-        if nz.size == 0:
-            raise InputError(f"architecture row {i} is zero")
-        pivot = int(nz[0])
-        if pivot <= last_pivot:
-            raise InputError("architecture pivots must be strictly increasing")
-        if abs(row[pivot] - 1.0) > 1e-9:
-            raise InputError(f"architecture row {i} pivot is not one")
-        col = rows[:, pivot]
-        if np.any(np.abs(np.delete(col, i)) > 1e-9):
-            raise InputError(f"pivot column {pivot} is not eliminated")
-        last_pivot = pivot
+    """Raise at the first row, in order, that is zero, does not advance
+    the pivot, has a pivot other than one, or shares its pivot column."""
+    nonzero = np.abs(rows) > 1e-12
+    pivots = nonzero.argmax(axis=1)
+    block = rows[:, pivots]
+    advances = np.ones(pivots.size, dtype=bool)
+    advances[1:] = pivots[1:] > pivots[:-1]
+    # (zero row, pivot not advancing, pivot not one, column shared) per
+    # row; a shared column only counts once the pivot itself is one.
+    failures = np.array([
+        ~nonzero.any(axis=1),
+        ~advances,
+        np.abs(block.diagonal() - 1.0) > 1e-9,
+        np.count_nonzero(np.abs(block) > 1e-9, axis=0) > 1,
+    ])
+    bad = failures.any(axis=0)
+    if not bad.any():
+        return
+    i = int(bad.argmax())
+    messages = (
+        f"architecture row {i} is zero",
+        "architecture pivots must be strictly increasing",
+        f"architecture row {i} pivot is not one",
+        f"pivot column {int(pivots[i])} is not eliminated",
+    )
+    raise InputError(messages[int(failures[:, i].argmax())])
 
 
 @dataclass(frozen=True)
@@ -262,28 +274,32 @@ def to_architecture(
     The output is idempotent: canonicalizing an architecture returns the
     same matrix.
     """
-    aug = np.hstack([system.rows, np.asarray(system.moments, float)[:, None]])
-    aug = np.array(aug, dtype=float)
+    aug = np.column_stack([system.rows, system.moments])
     n_rows, n_cols = system.rows.shape
 
     rank = 0
     for col in range(n_cols):
         if rank == n_rows:
             break
-        block = np.abs(aug[rank:, :n_cols])
-        scale = float(block.max())
-        if scale == 0.0:
-            break
-        local = int(np.argmax(np.abs(aug[rank:, col])))
-        pivot_row = rank + local
-        if abs(aug[pivot_row, col]) <= pivot_rtol * scale:
+        column = np.abs(aug[rank:, col])
+        local = int(column.argmax())
+        # A zero column needs no scale; when the whole block is zero,
+        # every later column is skipped here.
+        if column[local] == 0.0:
             continue
+        scale = float(np.abs(aug[rank:, :n_cols]).max())
+        if column[local] <= pivot_rtol * scale:
+            continue
+        pivot_row = rank + local
         if pivot_row != rank:
             aug[[rank, pivot_row]] = aug[[pivot_row, rank]]
         aug[rank] /= aug[rank, col]
-        others = np.arange(n_rows) != rank
-        aug[others] -= np.outer(aug[others, col], aug[rank])
-        aug[others, col] = 0.0
+        # A zero factor leaves the pivot row as it is.
+        factors = aug[:, col].copy()
+        factors[rank] = 0.0
+        aug -= np.outer(factors, aug[rank])
+        aug[:, col] = 0.0
+        aug[rank, col] = 1.0
         rank += 1
 
     if rank < n_rows:
@@ -329,6 +345,8 @@ def kernel_basis(
         raise InputError("anchor and architecture disagree on state count")
     if np.any(probs <= 0.0):
         raise InputError("anchor must be strictly positive on the working space")
+    import scipy.linalg  # only user; keeps it out of the package import
+
     scaled = architecture.rows * np.sqrt(probs)
     null = scipy.linalg.null_space(scaled)
     expected = architecture.n_states - architecture.rank
@@ -421,52 +439,31 @@ def reduce_binary_support(
         raise InputError("binary moments must lie in [0, 1]")
 
     supports = mat == 1.0
-    n_rows, n_states = mat.shape
-    excluded = np.zeros(n_states, dtype=bool)
-    active = np.ones(n_rows, dtype=bool)
     is_zero = m <= ztol
     is_one = m >= 1.0 - ztol
-
-    changed = True
-    while changed:
-        changed = False
-        for a in range(n_rows):
-            if not active[a]:
-                continue
-            supp = supports[a] & ~excluded
-            if is_zero[a]:
-                if supp.any():
-                    excluded |= supp
-                    changed = True
-                active[a] = False
-            elif is_one[a]:
-                comp = ~supports[a] & ~excluded
-                if comp.any():
-                    excluded |= comp
-                    changed = True
-            else:
-                if not supp.any():
-                    raise InfeasibleMomentsError(
-                        f"infeasible moments: row {a} has positive target "
-                        f"{m[a]:.6g} but empty surviving support"
-                    )
-                working = ~excluded
-                if supp.sum() == working.sum():
-                    raise InfeasibleMomentsError(
-                        f"infeasible moments: row {a} covers the working space but "
-                        f"its target {m[a]:.6g} is below one"
-                    )
+    # Neither rule depends on the other exclusions, so the cascade's
+    # fixed point is the union of both.
+    excluded = supports[is_zero].any(axis=0) | ~supports[is_one].all(axis=0)
+    working = ~excluded
+    surviving = (supports & working).sum(axis=1)
+    fractional = ~(is_zero | is_one)
+    empty = fractional & (surviving == 0)
+    covering = fractional & (surviving == working.sum())
+    if np.any(empty | covering):
+        a = int(np.argmax(empty | covering))
+        if empty[a]:
+            raise InfeasibleMomentsError(
+                f"infeasible moments: row {a} has positive target "
+                f"{m[a]:.6g} but empty surviving support"
+            )
+        raise InfeasibleMomentsError(
+            f"infeasible moments: row {a} covers the working space but "
+            f"its target {m[a]:.6g} is below one"
+        )
     if excluded.all():
         raise InfeasibleMomentsError("infeasible moments: every state was excluded")
 
-    working = ~excluded
-    kept = []
-    for a in range(n_rows):
-        row = supports[a] & working
-        if is_zero[a] or not row.any():
-            continue
-        kept.append(a)
-    kept_rows = np.asarray(kept, dtype=int)
+    kept_rows = np.flatnonzero(~is_zero & (surviving > 0))
     reduced_rows = mat[np.ix_(kept_rows, np.flatnonzero(working))]
     return SupportReduction(
         excluded=excluded,

@@ -48,10 +48,17 @@ from .errors import (
     SupportViolationError,
 )
 from .simplex import Distribution, entropy, kl_divergence, multinomial_sample, prob_array
-from .solver import FitResult, SolveOptions, fit_linear_system, solve_newton
+from .solver import (
+    FitResult,
+    SolveOptions,
+    fit_linear_system,
+    fit_linear_systems,
+    solve_newton,
+)
 
 __all__ = [
     "ModelScore",
+    "ScoreTable",
     "SelectionConfig",
     "SelectionResult",
     "ErrorEstimate",
@@ -127,8 +134,7 @@ def _fit_for_f(
     probs = prob_array(f)
     if isinstance(candidate, CoefficientMatrix):
         induced = CoefficientMatrix(candidate.rows, candidate.rows @ probs)
-        fit = fit_linear_system(induced, options)
-        return fit.probabilities, entropy(fit.probabilities), fit.rank_effective, fit.n_states
+        return _fit_summary(fit_linear_system(induced, options))
     induced_arch = ArchitectureMatrix(candidate.rows, candidate.rows @ probs)
     if induced_arch.rank == induced_arch.n_states:
         # Saturated: the class is the single point f.
@@ -136,6 +142,10 @@ def _fit_for_f(
     solution = solve_newton(induced_arch, options)
     p = solution.distribution.probs
     return p, entropy(p), induced_arch.rank, induced_arch.n_states
+
+
+def _fit_summary(fit: FitResult) -> tuple[np.ndarray, float, int, int]:
+    return fit.probabilities, entropy(fit.probabilities), fit.rank_effective, fit.n_states
 
 
 def empirical_p_value(
@@ -233,7 +243,7 @@ def alpha_lrt(
     return prefactor * (2 * n_states - rank_simple - rank_complex) / n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ModelScore:
     """Scores of one solvable candidate on one dataset."""
 
@@ -274,6 +284,48 @@ class SelectionConfig:
             raise InputError("alpha_prefactor must be positive")
 
 
+class ScoreTable(Sequence[ModelScore]):
+    """Read-only sequence of :class:`ModelScore`, held as columns.
+
+    A selection keeps one score per solvable candidate; as columns they
+    take about a quarter of the memory of the score objects, which are
+    rebuilt, equal field for field, on access.
+    """
+
+    __slots__ = ("_ids", "_ints", "_floats")
+
+    _FLOATS = (
+        "maxent_entropy", "empirical_delta", "p_value", "bic", "aic", "expected_entropy",
+    )
+
+    def __init__(self, scores: Sequence[ModelScore]) -> None:
+        self._ids = tuple(s.architecture_id for s in scores)
+        self._ints = np.array([(s.rank, s.n_states) for s in scores], dtype=np.int64)
+        self._floats = np.array(
+            [[getattr(s, name) for name in self._FLOATS] for s in scores], dtype=float
+        )
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(len(self))))
+        rank, n_states = self._ints[i].tolist()
+        return ModelScore(self._ids[i], rank, n_states, *self._floats[i].tolist())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (ScoreTable, tuple)):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"ScoreTable({list(self)!r})"
+
+
 @dataclass(frozen=True)
 class SelectionResult:
     """Chosen candidate plus the full score table.
@@ -287,7 +339,7 @@ class SelectionResult:
     chosen_index: int
     method: str
     fallback: bool
-    scores: tuple[ModelScore, ...]
+    scores: ScoreTable
     failed_ids: tuple[Union[int, str], ...] = ()
 
 
@@ -303,23 +355,53 @@ def score_candidates(
 
     Returns a list aligned with ``candidates`` (``None`` where the solve
     failed; failures are logged, not raised) and the empirical entropy
-    of ``f``.
+    of ``f``.  Coefficient systems are fitted together through
+    :func:`fit_linear_systems`.
     """
+    scores, h_f, _ = _score_and_fit(candidates, f, n, ids, options)
+    return scores, h_f
+
+
+def _score_and_fit(
+    candidates: Sequence[Union[ArchitectureMatrix, CoefficientMatrix]],
+    f: Union[Distribution, np.ndarray],
+    n: int,
+    ids: Optional[Sequence[Union[int, str]]],
+    options: Optional[SolveOptions],
+) -> tuple[list[Optional[ModelScore]], float, list[Optional[FitResult]]]:
+    """:func:`score_candidates`, plus each coefficient system's fit
+    (``None`` for architectures and failed solves)."""
     if not candidates:
         raise InputError("need at least one candidate")
     probs = prob_array(f)
     h_f = entropy(probs)
     if ids is None:
         ids = list(range(len(candidates)))
+    batch = iter(fit_linear_systems(
+        [
+            CoefficientMatrix(c.rows, c.rows @ probs)
+            for c in candidates
+            if isinstance(c, CoefficientMatrix)
+        ],
+        options,
+    ))
     logn = math.log(n)
     scores: list[Optional[ModelScore]] = []
+    fits: list[Optional[FitResult]] = []
     for cid, cand in zip(ids, candidates):
+        fit = next(batch) if isinstance(cand, CoefficientMatrix) else None
         try:
-            _, h_hat, rank_eff, n_states = _fit_for_f(cand, probs, options)
+            if isinstance(fit, SolverError):
+                raise fit
+            if fit is None:
+                _, h_hat, rank_eff, n_states = _fit_for_f(cand, probs, options)
+            else:
+                _, h_hat, rank_eff, n_states = _fit_summary(fit)
             delta = _clip_delta(h_hat - h_f)
         except SolverError as exc:
             log.warning("candidate %s failed to solve: %s", cid, exc)
             scores.append(None)
+            fits.append(None)
             continue
         dof = n_states - rank_eff
         scores.append(
@@ -335,7 +417,8 @@ def score_candidates(
                 expected_entropy=h_hat - dof / (2.0 * n),
             )
         )
-    return scores, h_f
+        fits.append(fit)
+    return scores, h_f, fits
 
 
 def select_arrays(
@@ -480,20 +563,23 @@ def select(
     """
     if ids is None:
         ids = list(range(len(candidates)))
-    scores, _ = score_candidates(candidates, f, n, ids=ids, options=options)
+    scores, _, fits = _score_and_fit(candidates, f, n, ids, options)
 
     if implies is None and config.method == "hyper_maxent_lrt":
         probs = prob_array(f)
         architectures: list[Optional[ArchitectureMatrix]] = []
-        for cand, score in zip(candidates, scores):
+        for cand, score, fit in zip(candidates, scores, fits):
             if score is None:
                 architectures.append(None)
-            elif isinstance(cand, CoefficientMatrix):
+            elif fit is None:
+                architectures.append(cand)
+            elif not fit.excluded.any():
+                # Nothing excluded: the fit canonicalized this very system.
+                architectures.append(fit.architecture)
+            else:
                 architectures.append(
                     to_architecture(CoefficientMatrix(cand.rows, cand.rows @ probs))
                 )
-            else:
-                architectures.append(cand)
         implies = _nesting_implies(architectures)
 
     index, fallback = select_scored(scores, n, config, implies)
@@ -502,7 +588,7 @@ def select(
         chosen_index=index,
         method=config.method,
         fallback=fallback,
-        scores=tuple(s for s in scores if s is not None),
+        scores=ScoreTable([s for s in scores if s is not None]),
         failed_ids=tuple(
             cid for cid, s in zip(ids, scores) if s is None
         ),

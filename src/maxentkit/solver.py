@@ -1,31 +1,34 @@
 """Maximum-entropy solvers for linearly constrained simplex models.
 
-Two routes to the same distribution:
+:func:`fit_linear_systems` is the fit path.  Each raw system runs the
+zero-moment exclusion cascade, so boundary moments (targets of exactly
+zero or one) shrink the working space instead of diverging the
+multipliers, and is then canonicalized.  A saturated system is read off
+directly; the others are grouped by working shape and each group is
+solved by one undamped Newton iteration over the stack, from the
+uniform distribution.  Each step multiplies the iterate by
+``exp(-rows^T @ delta)`` where ``delta`` solves the Jacobian system
+``J = rows @ diag(p) @ rows^T``; for a full-row-rank architecture and a
+strictly positive iterate the Jacobian is a Gram matrix and stays
+invertible, and the converged solution is of exponential form: its log
+lies in the row space of the architecture.  Systems the batch flags
+(singular, runaway or unconverged) are refitted by the damped
+:func:`solve_newton`, which raises the typed errors.
+:func:`fit_linear_system` is the one-system call of the same path, so a
+system gets the same fit alone as inside a batch.
 
-* :func:`solve_newton` runs damped Newton iteration on the moment map.
-  Starting from the uniform distribution, each step multiplies the
-  current iterate by ``exp(-rows^T @ delta)`` where ``delta`` solves the
-  Jacobian system ``J = rows @ diag(p) @ rows^T``.  For a full-row-rank
-  architecture and strictly positive iterate the Jacobian is a Gram
-  matrix and stays invertible, and the converged solution is of
-  exponential form: its log lies in the row space of the architecture.
-* :func:`solve_ipf` cycles multiplicative proportional-fitting updates
-  over binary marginal rows, rescaling the support of each row by the
-  ratio of target to current moment.
-
-Both report the final max-norm moment residual and agree on the solution
+:func:`solve_ipf` reaches the same distribution by multiplicative
+proportional-fitting updates over binary marginal rows; the two agree
 within a small multiple of the tolerance, which is used as a standing
-cross-check.  :func:`fit_linear_system` wraps either solver with the
-zero-moment exclusion cascade so that boundary moments (targets of
-exactly zero or one) are handled by shrinking the working space rather
-than by diverging multipliers.
+cross-check.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from collections import defaultdict
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -43,6 +46,7 @@ from .errors import (
     InputError,
     RejectionExhaustedError,
     SingularJacobianError,
+    SolverError,
     ZeroMarginalError,
 )
 from .simplex import Distribution
@@ -54,11 +58,20 @@ __all__ = [
     "solve_newton",
     "solve_ipf",
     "fit_linear_system",
+    "fit_linear_systems",
     "sample_equivalence_class",
 ]
 
 #: Newton iteration cap when ``max_iterations`` is left unset.
 NEWTON_DEFAULT_ITERATIONS = 500
+
+#: Iteration cap of the undamped batch before a system falls back to
+#: :func:`solve_newton`.
+BATCH_ITERATIONS = 200
+
+#: Largest exponent a batch step may apply before the system is flagged
+#: as runaway.
+_BATCH_OVERFLOW = 200.0
 
 #: Single-constraint update cap for proportional fitting when unset.
 IPF_DEFAULT_UPDATES = 50_000
@@ -118,8 +131,10 @@ class MaxEntSolution:
     """Converged maximum-entropy distribution on the working space.
 
     ``multipliers`` holds the exponential-family parameters recovered by
-    the Newton route (``log p = rows^T @ multipliers``) and is ``None``
-    for proportional fitting, which does not track them.
+    the Newton route (``log p = rows^T @ multipliers``).  It is ``None``
+    for proportional fitting, which does not track them, and for a
+    batched fit with a state of probability zero, which no finite
+    multipliers reach.
     """
 
     distribution: Distribution
@@ -351,10 +366,123 @@ class FitResult:
         return self.n_states - self.rank_effective
 
 
-def _pad_full(values: np.ndarray, excluded: np.ndarray) -> np.ndarray:
-    full = np.zeros(excluded.size, dtype=float)
-    full[~excluded] = values
-    return full
+def _working_system(
+    system: CoefficientMatrix,
+) -> tuple[CoefficientMatrix, ArchitectureMatrix, np.ndarray]:
+    """The reduced system on the working space, its canonical form, and
+    the mask of excluded states."""
+    excluded = np.zeros(system.n_states, dtype=bool)
+    reduced = system
+    if system.is_binary:
+        reduction = reduce_binary_support(system.rows, system.moments)
+        if reduction.n_excluded:
+            # Otherwise every row survives and the system is unchanged.
+            excluded = reduction.excluded
+            reduced = CoefficientMatrix(reduction.rows, reduction.moments)
+    return reduced, to_architecture(reduced), excluded
+
+
+def _saturated_solution(architecture: ArchitectureMatrix) -> MaxEntSolution:
+    """The unique feasible point of a system saturated on its working
+    space: the RREF is the identity, so the moments are the point."""
+    p = np.array(architecture.moments, dtype=float)
+    tiny = (p < 0.0) & (p >= -1e-12)
+    p[tiny] = 0.0
+    if np.any(p < 0.0):
+        raise InfeasibleMomentsError(
+            "infeasible moments: saturated system implies a negative probability"
+        )
+    p, residual = _snap_normalization(p, architecture.rows, architecture.moments, 0.0)
+    return MaxEntSolution(
+        distribution=Distribution(p), multipliers=None, iterations=0, residual=residual
+    )
+
+
+def _fit_result(
+    system: CoefficientMatrix,
+    architecture: ArchitectureMatrix,
+    excluded: np.ndarray,
+    solution: MaxEntSolution,
+) -> FitResult:
+    probabilities = np.zeros(system.n_states)
+    probabilities[~excluded] = solution.distribution.probs
+    return FitResult(
+        solution=solution,
+        architecture=architecture,
+        excluded=excluded,
+        n_states=system.n_states,
+        rank_effective=architecture.rank + int(excluded.sum()),
+        probabilities=probabilities,
+    )
+
+
+def fit_linear_systems(
+    systems: Sequence[CoefficientMatrix],
+    options: Optional[SolveOptions] = None,
+) -> list[Union[FitResult, SolverError]]:
+    """Canonicalize, reduce, and solve many raw constraint systems.
+
+    Each system runs the exclusion cascade and is canonicalized on its
+    working space; a saturated one is read off directly.  The others are
+    grouped by ``(rank, working states)`` and each group is solved by one
+    undamped batched Newton iteration from uniform, whose multipliers are
+    recovered by least squares of ``log p`` on the architecture rows.
+    Systems the batch flags are refitted by :func:`solve_newton`.  Every
+    system's fit depends on that system alone, not on its group.
+
+    Returns one entry per system, in order: its :class:`FitResult`, or
+    the :class:`SolverError` that stopped it.  Input errors raise.
+    """
+    opts = options or SolveOptions()
+    max_iter = min(opts.max_iterations or BATCH_ITERATIONS, BATCH_ITERATIONS)
+    results: list[Union[FitResult, SolverError, None]] = [None] * len(systems)
+    groups: dict[tuple[int, int], list] = defaultdict(list)
+    for i, system in enumerate(systems):
+        try:
+            _, architecture, excluded = _working_system(system)
+            if architecture.rank == architecture.n_states:
+                solution = _saturated_solution(architecture)
+                results[i] = _fit_result(system, architecture, excluded, solution)
+                continue
+        except SolverError as exc:
+            results[i] = exc
+            continue
+        groups[architecture.rows.shape].append((i, architecture, excluded))
+
+    for members in groups.values():
+        rows = np.stack([architecture.rows for _, architecture, _ in members])
+        targets = np.stack([architecture.moments for _, architecture, _ in members])
+        n_working = rows.shape[2]
+        p, residuals, converged, iterations = _newton_iterate(
+            rows, targets, np.full((len(members), n_working), 1.0 / n_working),
+            opts.tolerance, max_iter, _BATCH_OVERFLOW,
+        )
+        # A state whose probability underflowed to zero has no finite
+        # multipliers; such a fit reports none.
+        has_theta = converged & (p > 0.0).all(axis=1)
+        finite = np.flatnonzero(has_theta)
+        theta = np.zeros(rows.shape[:2])
+        if finite.size:
+            theta[finite] = np.linalg.solve(
+                rows[finite] @ rows[finite].transpose(0, 2, 1),
+                rows[finite] @ np.log(p[finite])[:, :, None],
+            )[:, :, 0]
+        for k, (i, architecture, excluded) in enumerate(members):
+            if converged[k]:
+                solution = MaxEntSolution(
+                    distribution=Distribution(p[k]),
+                    multipliers=theta[k] if has_theta[k] else None,
+                    iterations=int(iterations[k]),
+                    residual=float(residuals[k]),
+                )
+            else:
+                try:
+                    solution = solve_newton(architecture, opts)
+                except SolverError as exc:
+                    results[i] = exc
+                    continue
+            results[i] = _fit_result(systems[i], architecture, excluded, solution)
+    return results
 
 
 def fit_linear_system(
@@ -362,12 +490,12 @@ def fit_linear_system(
     options: Optional[SolveOptions] = None,
     method: str = "newton",
 ) -> FitResult:
-    """Canonicalize, reduce, and solve a raw constraint system.
+    """Canonicalize, reduce, and solve one raw constraint system.
 
-    Binary systems first run :func:`reduce_binary_support`, so targets of
-    exactly zero or one shrink the working space instead of stalling the
-    solver.  When the reduced system is saturated (rank equals the number
-    of surviving states) the unique feasible point is read off directly.
+    ``method="newton"`` is :func:`fit_linear_systems` on a batch of one
+    and raises its error, if any.  ``method="ipf"`` runs the same
+    exclusion cascade and saturated read-off, then :func:`solve_ipf` on
+    the reduced system.
 
     Parameters
     ----------
@@ -377,52 +505,17 @@ def fit_linear_system(
     """
     if method not in ("newton", "ipf"):
         raise InputError(f"unknown solve method {method!r}")
-    opts = options or SolveOptions()
-
-    if system.is_binary:
-        reduction = reduce_binary_support(system.rows, system.moments)
-        excluded = reduction.excluded
-        reduced_rows, reduced_moments = reduction.rows, reduction.moments
+    if method == "newton":
+        (fit,) = fit_linear_systems([system], options)
+        if isinstance(fit, SolverError):
+            raise fit
+        return fit
+    reduced, architecture, excluded = _working_system(system)
+    if architecture.rank == architecture.n_states:
+        solution = _saturated_solution(architecture)
     else:
-        excluded = np.zeros(system.n_states, dtype=bool)
-        reduced_rows, reduced_moments = system.rows, system.moments
-
-    reduced = CoefficientMatrix(reduced_rows, reduced_moments)
-    architecture = to_architecture(reduced)
-    n_working = architecture.n_states
-
-    if architecture.rank == n_working:
-        # Saturated on the working space: the RREF is the identity and the
-        # moments are the unique feasible point.
-        p = np.array(architecture.moments, dtype=float)
-        tiny = (p < 0.0) & (p >= -1e-12)
-        p[tiny] = 0.0
-        if np.any(p < 0.0):
-            raise InfeasibleMomentsError(
-                "infeasible moments: saturated system implies a negative probability"
-            )
-        p, residual = _snap_normalization(
-            p, architecture.rows, architecture.moments, 0.0
-        )
-        solution = MaxEntSolution(
-            distribution=Distribution(p),
-            multipliers=None,
-            iterations=0,
-            residual=residual,
-        )
-    elif method == "newton":
-        solution = solve_newton(architecture, opts)
-    else:
-        solution = solve_ipf(reduced, opts)
-
-    return FitResult(
-        solution=solution,
-        architecture=architecture,
-        excluded=excluded,
-        n_states=system.n_states,
-        rank_effective=architecture.rank + int(excluded.sum()),
-        probabilities=_pad_full(solution.distribution.probs, excluded),
-    )
+        solution = solve_ipf(reduced, options)
+    return _fit_result(system, architecture, excluded, solution)
 
 
 def sample_equivalence_class(
@@ -471,8 +564,8 @@ def _newton_batch(
     *,
     start: Optional[np.ndarray] = None,
     tolerance: float = 1e-10,
-    max_iterations: int = 200,
-    overflow: float = 200.0,
+    max_iterations: int = BATCH_ITERATIONS,
+    overflow: float = _BATCH_OVERFLOW,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Undamped Newton iteration over a stack of same-rank systems.
 
@@ -497,21 +590,24 @@ def _newton_batch(
     Returns
     -------
     probabilities : ndarray, shape (g, a)
+        Normalized to unit mass where converged.
     residuals : ndarray, shape (g,)
+        Max-norm moment residual; at or below ``tolerance`` where
+        converged.
     converged : ndarray of bool, shape (g,)
     """
     n_systems, _, n_states = row_stack.shape
     limits = (tolerance, max_iterations, overflow)
     if start is None:
         p = np.full((n_systems, n_states), 1.0 / n_states)
-        return _newton_iterate(row_stack, target_stack, p, *limits)
-    p, residuals, converged = _newton_iterate(
+        return _newton_iterate(row_stack, target_stack, p, *limits)[:3]
+    p, residuals, converged, _ = _newton_iterate(
         row_stack, target_stack, np.array(start, dtype=float), *limits
     )
     retry = np.flatnonzero(~converged)
     if retry.size:
         uniform = np.full((retry.size, n_states), 1.0 / n_states)
-        p[retry], residuals[retry], converged[retry] = _newton_iterate(
+        p[retry], residuals[retry], converged[retry], _ = _newton_iterate(
             row_stack[retry], target_stack[retry], uniform, *limits
         )
     return p, residuals, converged
@@ -524,31 +620,37 @@ def _newton_iterate(
     tolerance: float,
     max_iterations: int,
     overflow: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The iteration of :func:`_newton_batch` from the iterates ``p``,
-    which it updates in place."""
+    which it updates in place; also returns each system's step count.
+
+    A system converges when both the iterate and its normalization meet
+    the tolerance; it reports the normalization.
+    """
     n_systems = row_stack.shape[0]
     residuals = np.full(n_systems, np.inf)
     converged = np.zeros(n_systems, dtype=bool)
+    steps = np.zeros(n_systems, dtype=int)
     active = np.arange(n_systems)
 
-    for _ in range(max_iterations):
+    for it in range(max_iterations + 1):
         if active.size == 0:
             break
         rows = row_stack[active]
         probs = p[active]
         moments = (rows @ probs[:, :, None])[:, :, 0]
         diff = moments - target_stack[active]
-        res = np.max(np.abs(diff), axis=1)
+        normalized = moments / probs.sum(axis=1, keepdims=True) - target_stack[active]
+        res = np.maximum(np.max(np.abs(diff), axis=1), np.max(np.abs(normalized), axis=1))
         residuals[active] = res
         done = res <= tolerance
         if done.any():
             converged[active[done]] = True
             keep = ~done
             active = active[keep]
-            if active.size == 0:
-                break
             rows, probs, diff = rows[keep], probs[keep], diff[keep]
+        if active.size == 0 or it == max_iterations:
+            break
 
         jacobian = (rows * probs[:, None, :]) @ rows.transpose(0, 2, 1)
         try:
@@ -577,14 +679,7 @@ def _newton_iterate(
             if active.size == 0:
                 continue
         p[active] = probs * np.exp(-shift)
-
-    if active.size:
-        # Credit systems whose very last update reached tolerance.
-        rows = row_stack[active]
-        moments = (rows @ p[active][:, :, None])[:, :, 0]
-        res = np.max(np.abs(moments - target_stack[active]), axis=1)
-        residuals[active] = res
-        converged[active[res <= tolerance]] = True
+        steps[active] += 1
 
     if converged.any():
         idx = np.flatnonzero(converged)
@@ -592,4 +687,4 @@ def _newton_iterate(
         moments = (row_stack[idx] @ p[idx][:, :, None])[:, :, 0]
         residuals[idx] = np.max(np.abs(moments - target_stack[idx]), axis=1)
 
-    return p, residuals, converged
+    return p, residuals, converged, steps

@@ -130,6 +130,23 @@ class TestArchitectureMatrix:
         with pytest.raises(InputError):
             ArchitectureMatrix(rows, np.array([1.0, 0.4]))
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([[1, 0, 1], [0, 0, 0]], "row 1 is zero"),
+            ([[0, 1, 0], [1, 0, 1]], "pivots must be strictly increasing"),
+            ([[1, 0, 1], [0, 2, 0]], "row 1 pivot is not one"),
+            ([[1, 1, 0], [0, 1, 1]], "pivot column 1 is not eliminated"),
+            # The first failing row is reported, whatever fails later.
+            ([[1, 0, 1], [0, 1, 0], [0, 0, 0]], "row 2 is zero"),
+            ([[1, 1, 0], [0, 1, 0], [0, 0, 0]], "pivot column 1 is not eliminated"),
+        ],
+    )
+    def test_each_rref_check_names_its_row(self, rows, message):
+        rows = np.array(rows, dtype=float)
+        with pytest.raises(InputError, match=message):
+            ArchitectureMatrix(rows, np.full(rows.shape[0], 0.5))
+
     def test_normalization_drift_warns(self, caplog):
         # Column sums deviate from one: still usable, but flagged.
         rows = np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.5]])

@@ -4,15 +4,24 @@ import numpy as np
 import pytest
 
 from maxentkit.constraints import CoefficientMatrix, to_architecture
+from maxentkit import selection
 from maxentkit.errors import (
     InputError,
     NoSolvableCandidateError,
     NotNestedError,
+    SolverError,
 )
-from maxentkit.ising import SpinModel, boltzmann, random_params, to_coefficients
+from maxentkit.ising import (
+    SpinModel,
+    boltzmann,
+    enumerate_models,
+    random_params,
+    to_coefficients,
+)
 from maxentkit.selection import (
     ErrorEstimate,
     ModelScore,
+    ScoreTable,
     SelectionConfig,
     aic,
     alpha_empirical,
@@ -31,6 +40,7 @@ from maxentkit.selection import (
     select_scored,
 )
 from maxentkit.simplex import entropy
+from maxentkit.solver import fit_linear_system
 
 # 95% quantiles of the chi-square, 50-digit evaluations.
 CHI2_Q95_K1 = 3.841458820694124
@@ -156,6 +166,98 @@ class TestLrtPValue:
         f = rng.dirichlet(np.full(4, 3.0))
         arch = to_architecture(CoefficientMatrix(marginal_2x2().rows, marginal_2x2().rows @ f))
         assert lrt_p_value(arch, arch, f, 1000) == 1.0
+
+
+# A five-state sample with three empty states, and non-binary rows whose
+# moments under it sit on a face the exclusion cascade cannot see; the
+# Newton Jacobian goes singular on the way there.
+F5 = np.array([0.5, 0.5, 0.0, 0.0, 0.0])
+SINGULAR_ROWS = np.array([
+    [2.0, 0.0, -1.0, 2.0, -1.0],
+    [1.0, 2.0, 0.0, 0.0, 2.0],
+    [-1.0, 1.0, 0.0, 1.0, 2.0],
+])
+
+
+def on_f5(*rows):
+    mat = np.vstack([np.ones(5), *rows])
+    return CoefficientMatrix(mat, mat @ F5)
+
+
+class TestScoreCandidatesBatch:
+    def candidates(self):
+        return [
+            on_f5([1, 0, 1, 0, 1]),
+            on_f5([1, 0, 1, 0, 1], [0, 1, 1, 0, 0]),
+            on_f5([0, 0, 1, 1, 0]),  # moment zero: excludes two states
+            on_f5(*np.eye(5)[:4]),  # saturated
+            on_f5([0, 1, 2, 3, 4]),  # non-binary
+            on_f5(*SINGULAR_ROWS),  # no solution
+            to_architecture(on_f5([1, 0, 1, 0, 1])),
+        ]
+
+    def test_matches_per_candidate_scores(self, caplog):
+        n = 200
+        candidates = self.candidates()
+        with caplog.at_level("WARNING", logger="maxentkit.selection"):
+            scores, h_f = score_candidates(candidates, F5, n, ids=list("abcdefg"))
+        assert scores[5] is None
+        assert "candidate f failed to solve" in caplog.text
+        with pytest.raises(SolverError):
+            empirical_p_value(candidates[5], F5, n)
+        assert [s.rank for s in scores if s is not None] == [2, 3, 3, 5, 2, 2]
+        assert h_f == entropy(F5)
+        for cand, score in zip(candidates, scores):
+            if score is None:
+                continue
+            assert score.p_value == empirical_p_value(cand, F5, n)
+            assert score.bic == bic(cand, F5, n)
+            assert score.expected_entropy == expected_entropy(cand, F5, n)
+            if isinstance(cand, CoefficientMatrix):
+                fit = fit_linear_system(CoefficientMatrix(cand.rows, cand.rows @ F5))
+                assert score.maxent_entropy == entropy(fit.probabilities)
+
+
+class TestLrtReusesCanonicalForms:
+    LIBRARY = [to_coefficients(m) for m in enumerate_models(4)]
+    TRUTH = SpinModel.from_interactions(((1, 2, 3), (1, 2, 4)), 4)
+
+    @pytest.mark.parametrize(
+        "n, empty", [(100, ()), (100, (14, 15)), (10_000, ())],
+        ids=["n100", "n100-no-123", "n10000"],
+    )
+    def test_same_choice_as_fresh_canonical_forms(self, n, empty, monkeypatch):
+        """``empty`` lists states given no samples; (14, 15) are those with
+        spins 1, 2 and 3 up, so every model holding 1.2.3 excludes states."""
+        config = SelectionConfig("hyper_maxent_lrt")
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            counts = rng.multinomial(n, boltzmann(random_params(self.TRUTH, rng)).probs)
+            counts[list(empty)] = 0
+            f = counts / counts.sum()
+            induced = [CoefficientMatrix(c.rows, c.rows @ f) for c in self.LIBRARY]
+            fresh = [to_architecture(s) for s in induced]
+            fits = [fit_linear_system(s) for s in induced]
+            for fit, arch in zip(fits, fresh):
+                if not fit.excluded.any():
+                    assert np.array_equal(fit.architecture.rows, arch.rows)
+                    assert np.array_equal(fit.architecture.moments, arch.moments)
+
+            calls = []
+            monkeypatch.setattr(
+                selection, "to_architecture",
+                lambda system: calls.append(1) or to_architecture(system),
+            )
+            reused = select(self.LIBRARY, f, n, config)
+            monkeypatch.undo()
+            expected = select(
+                self.LIBRARY, f, n, config, implies=selection._nesting_implies(fresh)
+            )
+            assert reused.chosen_index == expected.chosen_index
+            assert reused.fallback == expected.fallback
+            n_excluding = sum(bool(fit.excluded.any()) for fit in fits)
+            assert len(calls) == n_excluding
+            assert (n_excluding > 0) == bool(empty)
 
 
 class TestInformationCriteria:
@@ -357,6 +459,19 @@ class TestSelectEndToEnd:
         )
         assert result.chosen_index == 1
         assert result.fallback
+
+    def test_score_table_rebuilds_each_score(self, rng):
+        f = rng.dirichlet(np.full(4, 3.0))
+        candidates = [norm_only(4), marginal_2x2(), saturated_2x2(f)]
+        scores, _ = score_candidates(candidates, f, 100)
+        table = select(candidates, f, 100, SelectionConfig("bic")).scores
+        assert isinstance(table, ScoreTable)
+        assert len(table) == 3
+        assert list(table) == scores
+        assert table[-1] == scores[-1]
+        assert table[1:] == tuple(scores[1:])
+        assert table == tuple(scores)
+        assert hash(table) == hash(tuple(scores))
 
     def test_scores_align_with_ids(self, rng):
         f = rng.dirichlet(np.full(4, 3.0))

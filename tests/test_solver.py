@@ -11,6 +11,7 @@ from maxentkit.errors import (
     InfeasibleMomentsError,
     InputError,
     RejectionExhaustedError,
+    SingularJacobianError,
     SolverError,
 )
 from maxentkit.simplex import Distribution, entropy
@@ -20,6 +21,7 @@ from maxentkit.solver import (
     _newton_batch,
     _newton_iterate,
     fit_linear_system,
+    fit_linear_systems,
     sample_equivalence_class,
     solve_ipf,
     solve_newton,
@@ -290,6 +292,22 @@ class TestNewtonBatch:
         assert converged[0]
         assert not converged[1]
 
+    def test_converged_residuals_within_tolerance(self, rng):
+        # The 2x2 marginal system once converged at an unnormalized
+        # residual that exceeded tolerance after renormalizing.
+        arches = [to_architecture(marginal_2x2())] + [
+            to_architecture(random_system(rng, n_states=k, extra_rows=k // 2))
+            for k in (5, 6, 7, 8, 9, 10)
+            for _ in range(10)
+        ]
+        for tolerance in (1e-10, 1e-8):
+            for arch in arches:
+                probs, residuals, converged = _newton_batch(
+                    arch.rows[None], arch.moments[None], tolerance=tolerance
+                )
+                assert converged[0]
+                assert residuals[0] <= tolerance
+                assert residuals[0] == np.max(np.abs(arch.rows @ probs[0] - arch.moments))
 
     def test_start_from_sub_model_fit(self, rng):
         systems = [random_system(rng, n_states=8, extra_rows=4) for _ in range(5)]
@@ -317,7 +335,7 @@ class TestNewtonBatch:
         log_p = rows.T @ np.array([0.0, 10.0, -10.0])
         start = np.exp(log_p - log_p.max())
         start /= start.sum()
-        _, _, ok = _newton_iterate(
+        _, _, ok, _ = _newton_iterate(
             rows[None], targets[None], start[None].copy(), 1e-10, 200, 200.0
         )
         assert not ok[0]
@@ -345,3 +363,96 @@ class TestEntropyGapStatistic:
             for _ in range(400)
         ]
         assert np.mean(stats) == pytest.approx(dof, rel=0.2)
+
+
+# Moments of (0.5, 0.5, 0, 0, 0) under non-binary rows: they sit on a
+# face the exclusion cascade cannot see, and Newton's Jacobian goes
+# singular on the way there.
+SINGULAR_ROWS = np.array([
+    [1.0, 1.0, 1.0, 1.0, 1.0],
+    [2.0, 0.0, -1.0, 2.0, -1.0],
+    [1.0, 2.0, 0.0, 0.0, 2.0],
+    [-1.0, 1.0, 0.0, 1.0, 2.0],
+])
+
+
+def mixed_systems(rng):
+    """Interior systems of several shapes, a boundary one that excludes
+    states, a saturated one, a non-binary one, and one that fails."""
+    systems = [random_system(rng, n_states=k, extra_rows=r)
+               for k, r in ((8, 3), (8, 3), (8, 4), (6, 2), (8, 3))]
+    systems.append(marginal_2x2(0.0, 0.7))
+    systems.append(CoefficientMatrix(np.vstack([np.ones(3), np.eye(3)[:2]]),
+                                     np.array([1.0, 0.2, 0.5])))
+    ramp = np.array([[1.0, 1.0, 1.0, 1.0], [0.0, 1.0, 2.0, 3.0]])
+    systems.append(CoefficientMatrix(ramp, np.array([1.0, 1.2])))
+    systems.append(CoefficientMatrix(SINGULAR_ROWS, SINGULAR_ROWS @ [0.5, 0.5, 0, 0, 0]))
+    return systems
+
+
+class TestFitLinearSystems:
+    def test_alone_is_bit_identical_to_batch(self, rng):
+        systems = mixed_systems(rng)
+        batch = fit_linear_systems(systems)
+        assert len(batch) == len(systems)
+        for system, fit in zip(systems, batch):
+            if isinstance(fit, SolverError):
+                with pytest.raises(type(fit)):
+                    fit_linear_system(system)
+                continue
+            alone = fit_linear_system(system)
+            assert np.array_equal(alone.probabilities, fit.probabilities)
+            assert np.array_equal(alone.excluded, fit.excluded)
+            assert alone.solution.residual == fit.solution.residual
+            assert alone.solution.iterations == fit.solution.iterations
+            assert alone.rank_effective == fit.rank_effective
+            if fit.solution.multipliers is None:
+                assert alone.solution.multipliers is None
+            else:
+                assert np.array_equal(alone.solution.multipliers, fit.solution.multipliers)
+
+    def test_errors_stay_in_place(self, rng):
+        batch = fit_linear_systems(mixed_systems(rng))
+        assert isinstance(batch[-1], SingularJacobianError)
+        assert all(isinstance(fit, FitResult) for fit in batch[:-1])
+        assert batch[5].excluded.tolist() == [False, False, True, True]
+        assert batch[6].rank_effective == batch[6].n_states == 3
+
+    def test_matches_damped_newton(self, rng):
+        systems = mixed_systems(rng)[:5]
+        for system, fit in zip(systems, fit_linear_systems(systems)):
+            arch = to_architecture(system)
+            damped = solve_newton(arch)
+            assert np.max(np.abs(fit.probabilities - damped.distribution.probs)) < 1e-9
+            assert fit.solution.residual <= 1e-10
+            log_p = arch.rows.T @ fit.solution.multipliers
+            assert np.max(np.abs(log_p - np.log(fit.probabilities))) < 1e-9
+
+    def test_flagged_systems_fall_back_to_damped_newton(self, rng, monkeypatch):
+        import maxentkit.solver as solver
+
+        def flag_all(rows, targets, p, *limits):
+            n = rows.shape[0]
+            return p, np.full(n, np.inf), np.zeros(n, dtype=bool), np.zeros(n, dtype=int)
+
+        systems = mixed_systems(rng)
+        expected = fit_linear_systems(systems)
+        monkeypatch.setattr(solver, "_newton_iterate", flag_all)
+        fallback = fit_linear_systems(systems)
+        for system, fit, ref in zip(systems, fallback, expected):
+            if isinstance(ref, SolverError):
+                assert type(fit) is type(ref)
+                continue
+            if ref.rank_effective < ref.n_states:
+                damped = solve_newton(fit.architecture)
+                assert np.array_equal(
+                    fit.probabilities[~fit.excluded], damped.distribution.probs
+                )
+            assert np.max(np.abs(fit.probabilities - ref.probabilities)) < 1e-9
+
+    def test_iteration_cap_reaches_the_damped_solver(self):
+        options = SolveOptions(max_iterations=1)
+        (fit,) = fit_linear_systems([marginal_2x2()], options)
+        assert isinstance(fit, ConvergenceError)
+        with pytest.raises(ConvergenceError):
+            fit_linear_system(marginal_2x2(), options)
