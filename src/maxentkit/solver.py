@@ -622,7 +622,8 @@ def _newton_iterate(
     overflow: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The iteration of :func:`_newton_batch` from the iterates ``p``,
-    which it updates in place; also returns each system's step count.
+    which it updates in place; also returns the number of steps each
+    converged system took.
 
     A system converges when both the iterate and its normalization meet
     the tolerance; it reports the normalization.
@@ -640,12 +641,20 @@ def _newton_iterate(
         probs = p[active]
         moments = (rows @ probs[:, :, None])[:, :, 0]
         diff = moments - target_stack[active]
-        normalized = moments / probs.sum(axis=1, keepdims=True) - target_stack[active]
-        res = np.maximum(np.max(np.abs(diff), axis=1), np.max(np.abs(normalized), axis=1))
-        residuals[active] = res
+        res = np.max(np.abs(diff), axis=1)
         done = res <= tolerance
         if done.any():
+            near = np.flatnonzero(done)
+            normalized = moments[near] / probs[near].sum(axis=1, keepdims=True)
+            res[near] = np.maximum(
+                res[near],
+                np.max(np.abs(normalized - target_stack[active[near]]), axis=1),
+            )
+            done[near] = res[near] <= tolerance
+        residuals[active] = res
+        if done.any():
             converged[active[done]] = True
+            steps[active[done]] = it
             keep = ~done
             active = active[keep]
             rows, probs, diff = rows[keep], probs[keep], diff[keep]
@@ -679,7 +688,6 @@ def _newton_iterate(
             if active.size == 0:
                 continue
         p[active] = probs * np.exp(-shift)
-        steps[active] += 1
 
     if converged.any():
         idx = np.flatnonzero(converged)
