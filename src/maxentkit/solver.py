@@ -375,8 +375,9 @@ def _working_system(
     reduced = system
     if system.is_binary:
         reduction = reduce_binary_support(system.rows, system.moments)
+        # With no state excluded every row survives: the system is its
+        # own reduction.
         if reduction.n_excluded:
-            # Otherwise every row survives and the system is unchanged.
             excluded = reduction.excluded
             reduced = CoefficientMatrix(reduction.rows, reduction.moments)
     return reduced, to_architecture(reduced), excluded
