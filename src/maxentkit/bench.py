@@ -23,9 +23,10 @@ states and renormalised, is a valid start (its log lies in the child's
 row space).  A model whose parent is not fitted yet starts from
 uniform.  Warm-started systems the batch flags (singular, runaway, or
 unconverged) are restarted once from uniform inside the batch; those
-still flagged are refitted one at a time through the damped solver and
-proportional fitting, and a model that still fails is dropped from
-that sample's candidate set with a warning.
+still flagged, and the models whose working space is fully pinned, are
+refitted together by :func:`~maxentkit.solver.fit_linear_systems`, and
+a model that still fails is dropped from that sample's candidate set
+with a warning.
 
 Every task (realization, sample size, sample index) reseeds its own
 generator from the configured seed, so reports are reproducible
@@ -36,14 +37,13 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import os
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import gammaincc, xlogy
+from scipy.special import xlogy
 
 from .constraints import CoefficientMatrix
 from .errors import InputError, SolverError
@@ -55,10 +55,11 @@ from .ising import (
     enumerate_models,
     product_rows,
     random_params,
+    tp_fp_rates,
 )
-from .selection import _DELTA_NEGATIVE_LIMIT, METHODS, SelectionConfig, select_arrays
+from .selection import METHODS, SelectionConfig, alpha_empirical, score_arrays, select_arrays
 from .simplex import entropy
-from .solver import _newton_batch, fit_linear_system
+from .solver import _newton_batch, fit_linear_systems
 
 __all__ = [
     "BenchmarkConfig",
@@ -247,8 +248,6 @@ class _Context:
             dtype=np.int64,
         )
         self.rank_full = np.array([m.rank for m in self.models])
-        self.truth_bits = int(self.closure_bits[self.truth_index])
-        self.truth_size = self.truth_bits.bit_count()
 
         # A model's parent drops its highest subset, which is always a
         # maximal interaction (subsets run by size), leaving a sub-model
@@ -315,22 +314,14 @@ def _fit_all_models(ctx: _Context, counts: np.ndarray, n: int) -> _FitTable:
             m_frac, f, probs, rank_eff, valid, robust,
         )
 
+    # Normalization, then row 1 + j per closure bit j: ``_from_mask``
+    # lists set bits 1-based.
+    rmats = [[0, *_from_mask(int(ctx.closure_bits[i]))] for i in robust]
+    fits = fit_linear_systems([CoefficientMatrix(ctx.zeta[r], m_frac[r]) for r in rmats])
     n_failed = 0
-    for i in robust:
-        # Normalization, then row 1 + j per closure bit j: ``_from_mask``
-        # lists set bits 1-based.
-        rmat = [0, *_from_mask(int(ctx.closure_bits[i]))]
-        system = CoefficientMatrix(ctx.zeta[rmat], m_frac[rmat])
-        try:
-            try:
-                fit = fit_linear_system(system)
-            except SolverError:
-                fit = fit_linear_system(system, method="ipf")
-        except SolverError as exc:
-            log.warning(
-                "candidate %s dropped for this sample: %s",
-                ctx.models[i].label, exc,
-            )
+    for i, fit in zip(robust, fits):
+        if isinstance(fit, SolverError):
+            log.warning("candidate %s dropped for this sample: %s", ctx.models[i].label, fit)
             n_failed += 1
             continue
         probs[i] = fit.probabilities
@@ -358,7 +349,7 @@ def _fit_pattern(
     states the saturated spins are constant, so each kept interaction
     collapses to its non-saturated part and duplicates merge.  The
     reduced rows stay independent, which keeps the batch solver
-    applicable; only a fully pinned working space needs the scalar path.
+    applicable; only a fully pinned working space is left to the fallback.
     Batches run in increasing rank, so a parent in the same pattern is
     fitted before its children and can seed them.
     """
@@ -481,34 +472,23 @@ def _run_task(ctx: _Context, realization: int, n: int, sample: int) -> dict:
     test_counts = rng.multinomial(n, q, size=config.test_samples)
 
     table = _fit_all_models(ctx, counts, n)
-    f = counts / n
-    h_f = entropy(f)
-
+    h_f = entropy(counts / n)
     with np.errstate(invalid="ignore"):
         h_hat = -xlogy(table.probabilities, table.probabilities).sum(axis=1)
-    delta = h_hat - h_f
-    bad = table.valid & (delta < -_DELTA_NEGATIVE_LIMIT)
-    if bad.any():
-        for i in np.flatnonzero(bad):
-            log.warning(
-                "candidate %s dropped: entropy deficit %.3e",
-                ctx.models[i].label, delta[i],
-            )
-        table.valid[bad] = False
-        table.n_failed += int(bad.sum())
-    delta = np.maximum(delta, 0.0)
-
     a = ctx.n_states
-    dof = a - table.rank_eff
-    p_value = np.ones(len(ctx.models))
-    free = dof > 0
-    p_value[free] = gammaincc(dof[free] / 2.0, n * delta[free])
-    log_n = math.log(n)
-    bic_score = 2.0 * n * h_hat + table.rank_eff * log_n
-    aic_score = 2.0 * n * h_hat + 2.0 * table.rank_eff
+    _, p_value, bic_score, aic_score, _, deficit = score_arrays(
+        h_hat, h_f, table.rank_eff, a, n
+    )
+    bad = table.valid & deficit
+    for i in np.flatnonzero(bad):
+        log.warning(
+            "candidate %s dropped: entropy deficit %.3e", ctx.models[i].label, h_hat[i] - h_f
+        )
+    table.valid[bad] = False
+    table.n_failed += int(bad.sum())
 
     t_idx = ctx.truth_index
-    t_alpha = config.alpha_prefactor * (a - int(table.rank_eff[t_idx])) / n
+    t_alpha = alpha_empirical(a, int(table.rank_eff[t_idx]), n, config.alpha_prefactor)
     truth = {
         "rank": int(table.rank_eff[t_idx]),
         "p_value": float(p_value[t_idx]) if table.valid[t_idx] else 0.0,
@@ -525,13 +505,7 @@ def _run_task(ctx: _Context, realization: int, n: int, sample: int) -> dict:
             table.rank_eff, h_hat, p_value, bic_score, aic_score,
             table.valid, a, n, sel_cfg, ctx.implying,
         )
-        sel_bits = int(ctx.closure_bits[sel])
-        tp = (sel_bits & ctx.truth_bits).bit_count() / ctx.truth_size
-        fp_universe = ctx.n_subsets - ctx.truth_size
-        fp = (
-            (sel_bits & ~ctx.truth_bits).bit_count() / fp_universe
-            if fp_universe else 0.0
-        )
+        tp, fp = tp_fp_rates(ctx.models[sel], ctx.truth_model)
         log_p = _log_probs(table.probabilities[sel])
         test_kls = np.array(
             [_scaled_kl(g, log_p, n) for g in g_weights]

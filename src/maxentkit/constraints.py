@@ -267,7 +267,8 @@ def to_architecture(
 
     Partial pivoting picks the largest remaining entry of each column;
     entries at or below ``pivot_rtol`` times the largest entry of the
-    unreduced block are treated as zero.  Rows eliminated to zero are
+    input rows are treated as zero, so a block left holding only
+    roundoff yields no pivot.  Rows eliminated to zero are
     dropped; a zero row with a surviving right-hand side makes the system
     inconsistent.
 
@@ -277,18 +278,14 @@ def to_architecture(
     aug = np.column_stack([system.rows, system.moments])
     n_rows, n_cols = system.rows.shape
 
+    threshold = pivot_rtol * float(np.abs(system.rows).max())
     rank = 0
     for col in range(n_cols):
         if rank == n_rows:
             break
         column = np.abs(aug[rank:, col])
         local = int(column.argmax())
-        # A zero column needs no scale; when the whole block is zero,
-        # every later column is skipped here.
-        if column[local] == 0.0:
-            continue
-        scale = float(np.abs(aug[rank:, :n_cols]).max())
-        if column[local] <= pivot_rtol * scale:
+        if column[local] <= threshold:
             continue
         pivot_row = rank + local
         if pivot_row != rank:

@@ -33,7 +33,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 from scipy.special import gammainc, gammaincc
@@ -101,23 +101,52 @@ def chi2_cdf(k: int, x: float) -> float:
     return float(gammainc(k / 2.0, x / 2.0))
 
 
-def _chi2_tail(k: int, x: float) -> float:
+def _chi2_tail(dof: np.ndarray, stat: np.ndarray) -> np.ndarray:
     """Upper tail ``1 - F_k(x)``, computed directly for small-p precision.
+    The zero-dof convention (point mass at zero) gives one."""
+    return np.where(dof > 0, gammaincc(dof / 2.0, stat / 2.0), 1.0)
 
-    The zero-dof convention (point mass at zero) returns one.
+
+def score_arrays(
+    h_hat: np.ndarray, h_f: float, rank: np.ndarray, n_states, n: int
+) -> tuple[np.ndarray, ...]:
+    """Score columns of candidates with MaxEnt entropies ``h_hat`` and
+    effective ranks ``d = rank`` on ``a = n_states`` states.
+
+    Returns ``(delta, p_value, bic, aic, expected_entropy, deficit)``:
+    the gap ``h_hat - h_f`` clipped at zero, its chi-squared tail with
+    ``a - d`` degrees of freedom, ``2 n h_hat + d log n``, ``2 n h_hat +
+    2 d``, ``h_hat - (a - d) / (2 n)``, and the mask of gaps below
+    ``-_DELTA_NEGATIVE_LIMIT`` (solver failures, not rounding noise).
     """
-    if k == 0:
-        return 1.0
-    return float(gammaincc(k / 2.0, max(x, 0.0) / 2.0))
+    h_hat = np.asarray(h_hat, dtype=float)
+    rank = np.asarray(rank)
+    gap = h_hat - h_f
+    delta = np.maximum(gap, 0.0)
+    dof = n_states - rank
+    return (
+        delta,
+        _chi2_tail(dof, 2.0 * n * delta),
+        2.0 * n * h_hat + rank * math.log(n),
+        2.0 * n * h_hat + 2.0 * rank,
+        h_hat - dof / (2.0 * n),
+        gap < -_DELTA_NEGATIVE_LIMIT,
+    )
 
 
-def _clip_delta(delta: float) -> float:
-    if delta < -_DELTA_NEGATIVE_LIMIT:
-        raise ConvergenceError(
-            f"entropy deficit {delta:.3e}: fitted distribution is not the "
-            "class maximizer"
-        )
-    return max(delta, 0.0)
+def _deficit_error(gap: float) -> ConvergenceError:
+    return ConvergenceError(
+        f"entropy deficit {gap:.3e}: fitted distribution is not the class maximizer"
+    )
+
+
+def _p_value(h_hat: float, h_ref: float, rank: int, n_states: int, n: int) -> float:
+    """Tail of the gap ``h_hat - h_ref`` from :func:`score_arrays`; a
+    deficit beyond the limit raises :class:`ConvergenceError`."""
+    _, p_value, _, _, _, deficit = score_arrays(h_hat, h_ref, rank, n_states, n)
+    if deficit:
+        raise _deficit_error(h_hat - h_ref)
+    return float(p_value)
 
 
 def _fit_for_f(
@@ -148,6 +177,17 @@ def _fit_summary(fit: FitResult) -> tuple[np.ndarray, float, int, int]:
     return fit.probabilities, entropy(fit.probabilities), fit.rank_effective, fit.n_states
 
 
+def _entropies(
+    candidate: Union[ArchitectureMatrix, CoefficientMatrix],
+    f: Union[Distribution, np.ndarray],
+    options: Optional[SolveOptions],
+) -> tuple[float, float, int, int]:
+    """One candidate's ``h_hat, h_f, rank, n_states`` for :func:`score_arrays`."""
+    probs = prob_array(f)
+    _, h_hat, rank_eff, n_states = _fit_for_f(candidate, probs, options)
+    return h_hat, entropy(probs), rank_eff, n_states
+
+
 def empirical_p_value(
     architecture: Union[ArchitectureMatrix, CoefficientMatrix],
     f: Union[Distribution, np.ndarray],
@@ -160,10 +200,7 @@ def empirical_p_value(
     ``1 - F_{a-d}(2 n (H[maxent] - H[f]))``.  A saturated candidate has
     zero degrees of freedom and p-value one.
     """
-    probs = prob_array(f)
-    _, h_hat, rank_eff, n_states = _fit_for_f(architecture, probs, options)
-    delta = _clip_delta(h_hat - entropy(probs))
-    return _chi2_tail(n_states - rank_eff, 2.0 * n * delta)
+    return _p_value(*_entropies(architecture, f, options), n)
 
 
 def lrt_p_value(
@@ -186,8 +223,8 @@ def lrt_p_value(
     probs = prob_array(f)
     _, h_simple, rank_simple, _ = _fit_for_f(simple, probs, options)
     _, h_complex, rank_complex, _ = _fit_for_f(complex_, probs, options)
-    stat = 2.0 * n * _clip_delta(h_simple - h_complex)
-    return _chi2_tail(rank_complex - rank_simple, stat)
+    # The complex fit stands in for f, and its rank for the state count.
+    return _p_value(h_simple, h_complex, rank_simple, rank_complex, n)
 
 
 def bic(
@@ -201,8 +238,7 @@ def bic(
     Standardized up to candidate-independent additive constants; see the
     module docstring.
     """
-    _, h_hat, rank_eff, _ = _fit_for_f(architecture, f, options)
-    return 2.0 * n * h_hat + rank_eff * math.log(n)
+    return float(score_arrays(*_entropies(architecture, f, options), n)[2])
 
 
 def aic(
@@ -213,8 +249,7 @@ def aic(
 ) -> float:
     """Akaike information criterion ``2 n H[maxent] + 2 d``, standardized
     like :func:`bic`."""
-    _, h_hat, rank_eff, _ = _fit_for_f(architecture, f, options)
-    return 2.0 * n * h_hat + 2.0 * rank_eff
+    return float(score_arrays(*_entropies(architecture, f, options), n)[3])
 
 
 def expected_entropy(
@@ -225,8 +260,7 @@ def expected_entropy(
 ) -> float:
     """Mean entropy of an ``n``-sample class member,
     ``H[maxent] - (a - d) / (2 n)``."""
-    _, h_hat, rank_eff, n_states = _fit_for_f(architecture, f, options)
-    return h_hat - (n_states - rank_eff) / (2.0 * n)
+    return float(score_arrays(*_entropies(architecture, f, options), n)[4])
 
 
 def alpha_empirical(
@@ -289,7 +323,8 @@ class ScoreTable(Sequence[ModelScore]):
 
     A selection keeps one score per solvable candidate; as columns they
     take about a quarter of the memory of the score objects, which are
-    rebuilt, equal field for field, on access.
+    rebuilt, equal field for field, on access.  ``columns`` maps every
+    :class:`ModelScore` field but the id to one entry per id.
     """
 
     __slots__ = ("_ids", "_ints", "_floats")
@@ -298,12 +333,10 @@ class ScoreTable(Sequence[ModelScore]):
         "maxent_entropy", "empirical_delta", "p_value", "bic", "aic", "expected_entropy",
     )
 
-    def __init__(self, scores: Sequence[ModelScore]) -> None:
-        self._ids = tuple(s.architecture_id for s in scores)
-        self._ints = np.array([(s.rank, s.n_states) for s in scores], dtype=np.int64)
-        self._floats = np.array(
-            [[getattr(s, name) for name in self._FLOATS] for s in scores], dtype=float
-        )
+    def __init__(self, ids: Sequence, columns: Mapping[str, np.ndarray]) -> None:
+        self._ids = tuple(ids)
+        self._ints = np.column_stack([columns["rank"], columns["n_states"]]).astype(np.int64)
+        self._floats = np.column_stack([columns[k] for k in self._FLOATS]).astype(float)
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -358,25 +391,30 @@ def score_candidates(
     of ``f``.  Coefficient systems are fitted together through
     :func:`fit_linear_systems`.
     """
-    scores, h_f, _ = _score_and_fit(candidates, f, n, ids, options)
-    return scores, h_f
+    if ids is None:
+        ids = list(range(len(candidates)))
+    table, _, valid, h_f, _ = _score_and_fit(candidates, f, n, ids, options)
+    rows = iter(table)
+    return [next(rows) if ok else None for ok in valid], h_f
 
 
 def _score_and_fit(
     candidates: Sequence[Union[ArchitectureMatrix, CoefficientMatrix]],
     f: Union[Distribution, np.ndarray],
     n: int,
-    ids: Optional[Sequence[Union[int, str]]],
+    ids: Sequence[Union[int, str]],
     options: Optional[SolveOptions],
-) -> tuple[list[Optional[ModelScore]], float, list[Optional[FitResult]]]:
-    """:func:`score_candidates`, plus each coefficient system's fit
-    (``None`` for architectures and failed solves)."""
+) -> tuple[ScoreTable, dict[str, np.ndarray], np.ndarray, float, list[Optional[FitResult]]]:
+    """Fit and score every candidate; failures, entropy deficits
+    included, are logged, not raised.  Returns the solvable candidates'
+    :class:`ScoreTable`, every candidate's score columns keyed by
+    :class:`ModelScore` field, the mask of solvable candidates, the
+    empirical entropy, and each coefficient system's fit (``None`` for
+    architectures and failures)."""
     if not candidates:
         raise InputError("need at least one candidate")
     probs = prob_array(f)
     h_f = entropy(probs)
-    if ids is None:
-        ids = list(range(len(candidates)))
     batch = iter(fit_linear_systems(
         [
             CoefficientMatrix(c.rows, c.rows @ probs)
@@ -385,40 +423,34 @@ def _score_and_fit(
         ],
         options,
     ))
-    logn = math.log(n)
-    scores: list[Optional[ModelScore]] = []
     fits: list[Optional[FitResult]] = []
+    summaries = []
     for cid, cand in zip(ids, candidates):
         fit = next(batch) if isinstance(cand, CoefficientMatrix) else None
         try:
             if isinstance(fit, SolverError):
                 raise fit
-            if fit is None:
-                _, h_hat, rank_eff, n_states = _fit_for_f(cand, probs, options)
-            else:
-                _, h_hat, rank_eff, n_states = _fit_summary(fit)
-            delta = _clip_delta(h_hat - h_f)
+            summary = _fit_for_f(cand, probs, options) if fit is None else _fit_summary(fit)
         except SolverError as exc:
             log.warning("candidate %s failed to solve: %s", cid, exc)
-            scores.append(None)
-            fits.append(None)
-            continue
-        dof = n_states - rank_eff
-        scores.append(
-            ModelScore(
-                architecture_id=cid,
-                rank=rank_eff,
-                n_states=n_states,
-                maxent_entropy=h_hat,
-                empirical_delta=delta,
-                p_value=_chi2_tail(dof, 2.0 * n * delta),
-                bic=2.0 * n * h_hat + rank_eff * logn,
-                aic=2.0 * n * h_hat + 2.0 * rank_eff,
-                expected_entropy=h_hat - dof / (2.0 * n),
-            )
-        )
+            fit, summary = None, (None, math.nan, 0, 0)  # NaN marks the failure
         fits.append(fit)
-    return scores, h_f, fits
+        summaries.append(summary[1:])
+    h_hat, rank, n_states = (np.array(column) for column in zip(*summaries))
+    *scores, deficit = score_arrays(h_hat, h_f, rank, n_states, n)
+    for i in np.flatnonzero(deficit):
+        log.warning("candidate %s failed to solve: %s", ids[i], _deficit_error(h_hat[i] - h_f))
+        fits[i] = None
+    valid = ~np.isnan(h_hat) & ~deficit
+    # score_arrays returns the ModelScore fields after maxent_entropy, in order.
+    columns = dict(
+        zip(ScoreTable._FLOATS[1:], scores), rank=rank, n_states=n_states, maxent_entropy=h_hat
+    )
+    table = ScoreTable(
+        [cid for cid, ok in zip(ids, valid) if ok],
+        {name: column[valid] for name, column in columns.items()},
+    )
+    return table, columns, valid, h_f, fits
 
 
 def select_arrays(
@@ -453,7 +485,7 @@ def select_arrays(
         return int(np.argmin(score)), False
 
     pref = config.alpha_prefactor
-    passing = valid & (p_value >= pref * (n_states - rank) / n)
+    passing = valid & (p_value >= alpha_empirical(n_states, rank, n, pref))
     idx = np.flatnonzero(passing)
     order = idx[np.lexsort((idx, -p_value[idx], rank[idx]))]
 
@@ -470,9 +502,8 @@ def select_arrays(
         js = js[valid[js] & (rank[js] > rank[i])]
         if js.size:
             stats = 2.0 * n * np.maximum(entropy_hat[i] - entropy_hat[js], 0.0)
-            tails = gammaincc((rank[js] - rank[i]) / 2.0, stats / 2.0)
-            alphas = pref * (2 * n_states - rank[i] - rank[js]) / n
-            if np.any(tails < alphas):
+            tails = _chi2_tail(rank[js] - rank[i], stats)
+            if np.any(tails < alpha_lrt(n_states, rank[i], rank[js], n, pref)):
                 continue
         return int(i), False
     return _highest_rank(rank, valid), True
@@ -495,33 +526,32 @@ def select_scored(
     candidate ``i`` (is at least as constrained); it is only consulted by
     ``hyper_maxent_lrt``.  Returns ``(index, fallback)`` into ``scores``.
     """
-    m = len(scores)
+    fields = ("rank", "n_states", "maxent_entropy", "p_value", "bic", "aic")
+    columns = {k: np.array([getattr(s, k) if s is not None else 0 for s in scores]) for k in fields}
     valid = np.array([s is not None for s in scores], dtype=bool)
-    if not valid.any():
-        raise NoSolvableCandidateError("every candidate failed to solve")
-    n_states = next(s.n_states for s in scores if s is not None)
+    return _select_columns(columns, valid, n, config, implies)
 
-    def pull(field: str, fill: float) -> np.ndarray:
-        return np.array(
-            [getattr(s, field) if s is not None else fill for s in scores]
-        )
 
+def _select_columns(
+    columns: Mapping[str, np.ndarray],
+    valid: np.ndarray,
+    n: int,
+    config: SelectionConfig,
+    implies: Optional[Callable[[int, int], bool]],
+) -> tuple[int, bool]:
+    """:func:`select_arrays` on score columns keyed by :class:`ModelScore`
+    field, with the pairwise ``implies`` of :func:`select_scored`."""
     implying = None
     if implies is not None:
         def implying(i: int) -> list[int]:
-            return [j for j in range(m) if j != i and implies(i, j)]
+            return [j for j in range(len(valid)) if j != i and implies(i, j)]
 
+    # Every candidate shares one state space; take the first valid one's.
+    n_states = columns["n_states"][valid]
     return select_arrays(
-        rank=pull("rank", 0).astype(int),
-        entropy_hat=pull("maxent_entropy", np.nan),
-        p_value=pull("p_value", np.nan),
-        bic_score=pull("bic", np.inf),
-        aic_score=pull("aic", np.inf),
-        valid=valid,
-        n_states=n_states,
-        n=n,
-        config=config,
-        implying=implying,
+        columns["rank"], columns["maxent_entropy"], columns["p_value"],
+        columns["bic"], columns["aic"], valid,
+        int(n_states[0]) if n_states.size else 0, n, config, implying,
     )
 
 
@@ -563,13 +593,13 @@ def select(
     """
     if ids is None:
         ids = list(range(len(candidates)))
-    scores, _, fits = _score_and_fit(candidates, f, n, ids, options)
+    table, columns, valid, _, fits = _score_and_fit(candidates, f, n, ids, options)
 
     if implies is None and config.method == "hyper_maxent_lrt":
         probs = prob_array(f)
         architectures: list[Optional[ArchitectureMatrix]] = []
-        for cand, score, fit in zip(candidates, scores, fits):
-            if score is None:
+        for cand, ok, fit in zip(candidates, valid, fits):
+            if not ok:
                 architectures.append(None)
             elif fit is None:
                 architectures.append(cand)
@@ -582,16 +612,14 @@ def select(
                 )
         implies = _nesting_implies(architectures)
 
-    index, fallback = select_scored(scores, n, config, implies)
+    index, fallback = _select_columns(columns, valid, n, config, implies)
     return SelectionResult(
         chosen_id=ids[index],
         chosen_index=index,
         method=config.method,
         fallback=fallback,
-        scores=ScoreTable([s for s in scores if s is not None]),
-        failed_ids=tuple(
-            cid for cid, s in zip(ids, scores) if s is None
-        ),
+        scores=table,
+        failed_ids=tuple(cid for cid, ok in zip(ids, valid) if not ok),
     )
 
 

@@ -7,6 +7,7 @@ from maxentkit.bench import (
     BenchmarkConfig,
     _Context,
     _fit_all_models,
+    _run_task,
     report_csv,
     run_benchmark,
     summary_csv,
@@ -14,6 +15,7 @@ from maxentkit.bench import (
 )
 from maxentkit.errors import InputError
 from maxentkit.ising import boltzmann, random_params, to_coefficients
+from maxentkit.selection import alpha_empirical, empirical_p_value
 from maxentkit.solver import fit_linear_system
 
 TINY = dict(
@@ -248,6 +250,23 @@ class TestFitTableCrossValidation:
             assert table.valid[k]
             assert table.rank_eff[k] == fit.rank_effective
             assert np.max(np.abs(table.probabilities[k] - fit.probabilities)) < 1e-7
+
+
+class TestTruthScoring:
+    def test_truth_row_matches_selection(self, five_spin_ctx):
+        """The sweep scores the truth as :mod:`maxentkit.selection` does."""
+        ctx = five_spin_ctx
+        seed, realization, n, sample = ctx.config.seed, 2, 10_000, 1
+        truth = _run_task(ctx, realization, n, sample)["truth"]
+        params_rng = np.random.default_rng(np.random.SeedSequence((seed, realization)))
+        q = boltzmann(random_params(ctx.truth_model, params_rng)).probs
+        rng = np.random.default_rng(np.random.SeedSequence((seed, realization, n, sample)))
+        f = rng.multinomial(n, q) / n
+        system = to_coefficients(ctx.truth_model, f)
+        rank = fit_linear_system(system).rank_effective
+        assert truth["valid"] and truth["rank"] == rank
+        assert truth["p_value"] == pytest.approx(empirical_p_value(system, f, n), rel=1e-6)
+        assert truth["alpha"] == pytest.approx(alpha_empirical(32, rank, n), rel=1e-6)
 
 
 class TestParents:

@@ -23,6 +23,7 @@ from maxentkit.errors import (
     RankDeficiencyError,
 )
 from maxentkit.simplex import Distribution
+from maxentkit.solver import fit_linear_system
 
 
 def marginal_2x2():
@@ -122,6 +123,21 @@ class TestToArchitecture:
         rows = np.array([[1.0, 1.0, 1.0, 1.0], [0.0, 0.0, 0.0, 1.0]])
         b = to_architecture(CoefficientMatrix(rows, np.array([1.0, 0.3])))
         assert not a.same_model(b)
+
+    def test_roundoff_is_not_a_pivot(self):
+        # The last row is the sum of the middle two; eliminating it leaves
+        # a block of pure roundoff, which must not become a fourth pivot.
+        rows = np.array(
+            [[1, 1, 1, 1, 1], [1, 0, 1, -1, 0], [-1, 2, -1, 2, 1], [0, 2, 0, 1, 1]],
+            dtype=float,
+        )
+        p = np.array([0.3, 0.2, 0.4, 0.1, 0.0])
+        system = CoefficientMatrix(rows, rows @ p)
+        assert np.linalg.matrix_rank(rows) == 3
+        assert to_architecture(system).rank == 3
+        fit = fit_linear_system(system)
+        assert fit.rank_effective == 3
+        assert np.max(np.abs(rows @ fit.probabilities - rows @ p)) < 1e-9
 
 
 class TestArchitectureMatrix:

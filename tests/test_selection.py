@@ -35,6 +35,7 @@ from maxentkit.selection import (
     lrt_p_value,
     mc_test_error,
     mc_training_error,
+    score_arrays,
     score_candidates,
     select,
     select_scored,
@@ -282,6 +283,48 @@ class TestInformationCriteria:
         val = expected_entropy(norm_only(3), f, 100)
         assert val == pytest.approx(math.log(3) - 0.01, rel=1e-14)
         assert val == pytest.approx(1.0886122886681097, rel=1e-14)
+
+
+class TestScoreArrays:
+    def test_zero_dof_scores_one(self):
+        delta, p, *_ = score_arrays(np.array([1.2]), 1.0, np.array([4]), 4, 100)
+        assert delta[0] == pytest.approx(0.2)
+        assert p[0] == 1.0
+
+    def test_deficit_within_limit_clipped(self):
+        delta, p, _, _, _, deficit = score_arrays(
+            np.array([1.0 - 1e-9]), 1.0, np.array([2]), 4, 100
+        )
+        assert delta[0] == 0.0
+        assert p[0] == 1.0
+        assert not deficit[0]
+
+    def test_deficit_beyond_limit_flagged(self):
+        delta, _, _, _, _, deficit = score_arrays(
+            np.array([1.0 - 1e-7, 1.0 + 1e-7]), 1.0, np.array([2, 2]), 4, 100
+        )
+        assert deficit.tolist() == [True, False]
+        assert delta[0] == 0.0
+
+    def test_mixed_dof_matches_scalar_functions(self, rng):
+        f = rng.dirichlet(np.full(4, 3.0))
+        n = 250
+        # Degrees of freedom 3, 1 and 0.
+        candidates = [norm_only(4), marginal_2x2(), saturated_2x2(f)]
+        fits = [
+            fit_linear_system(CoefficientMatrix(c.rows, c.rows @ f)) for c in candidates
+        ]
+        h_hat = np.array([entropy(fit.probabilities) for fit in fits])
+        rank = np.array([fit.rank_effective for fit in fits])
+        delta, p, bic_v, aic_v, expected, deficit = score_arrays(h_hat, entropy(f), rank, 4, n)
+        assert not deficit.any()
+        for k, c in enumerate(candidates):
+            assert delta[k] == max(h_hat[k] - entropy(f), 0.0)
+            assert p[k] == empirical_p_value(c, f, n)
+            assert bic_v[k] == bic(c, f, n)
+            assert aic_v[k] == aic(c, f, n)
+            assert expected[k] == expected_entropy(c, f, n)
+        assert p[2] == 1.0 and p[0] < 1.0 and p[1] < 1.0
 
 
 class TestThresholds:
