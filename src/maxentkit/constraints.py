@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -47,6 +48,7 @@ __all__ = [
     "SupportReduction",
     "to_architecture",
     "induced_moments",
+    "is_nested",
     "kernel_basis",
     "nesting_map",
     "reduce_binary_support",
@@ -57,8 +59,8 @@ log = logging.getLogger(__name__)
 #: Relative pivot threshold for Gauss-Jordan elimination.
 PIVOT_RTOL = 1e-9
 
-#: Residual below which a least-squares row-space factorization counts as
-#: an exact nesting.
+#: Residual below which a row-space factorization counts as an exact
+#: nesting.
 NESTING_TOL = 1e-9
 
 #: Tolerance for recognizing exactly-zero or exactly-saturated binary
@@ -75,6 +77,66 @@ def _as_matrix(rows: Union[np.ndarray, Sequence[Sequence[float]]]) -> np.ndarray
     return mat
 
 
+def _moment_vector(moments, n_rows: int, kind: str) -> np.ndarray:
+    m = np.array(moments, dtype=float)
+    if m.ndim != 1 or m.shape[0] != n_rows:
+        raise InputError(f"need exactly one moment per {kind} row")
+    if not np.all(np.isfinite(m)):
+        raise InputError("moments must be finite")
+    m.setflags(write=False)
+    return m
+
+
+class _RowForm:
+    """Sample-independent facts about one validated, read-only row matrix.
+
+    Each is computed on first use and kept, and every system that
+    ``with_moments`` derives shares its form, so work that depends on
+    the rows alone is done once per row matrix, not once per sample.
+    """
+
+    def __init__(self, matrix: np.ndarray) -> None:
+        self.matrix = matrix
+        self._rref_checked = False
+
+    @cached_property
+    def is_binary(self) -> bool:
+        r = self.matrix
+        return bool(np.all((r == 0.0) | (r == 1.0)))
+
+    @cached_property
+    def elimination(self) -> tuple["_RowForm", tuple]:
+        return _eliminate(self.matrix)
+
+    @cached_property
+    def pivot_columns(self) -> np.ndarray:
+        pivots = (self.matrix != 0.0).argmax(axis=1)
+        pivots.setflags(write=False)
+        return pivots
+
+    @cached_property
+    def column_sum_deviation(self) -> float:
+        return float(np.max(np.abs(self.matrix.sum(axis=0) - 1.0)))
+
+    def check_rref(self) -> None:
+        """Raise :class:`InputError` unless the matrix is in RREF."""
+        if not self._rref_checked:
+            _validate_rref(self.matrix)
+            self._rref_checked = True
+
+
+def _attach(system, form: _RowForm, moments: np.ndarray) -> None:
+    object.__setattr__(system, "rows", form.matrix)
+    object.__setattr__(system, "moments", moments)
+    object.__setattr__(system, "_form", form)
+
+
+def _derive(cls, form: _RowForm, moments: np.ndarray):
+    system = object.__new__(cls)
+    _attach(system, form, moments)
+    return system
+
+
 @dataclass(frozen=True)
 class CoefficientMatrix:
     """Raw linear constraints ``rows @ p = moments``.
@@ -89,11 +151,7 @@ class CoefficientMatrix:
 
     def __post_init__(self) -> None:
         rows = _as_matrix(self.rows)
-        moments = np.array(self.moments, dtype=float)
-        if moments.ndim != 1 or moments.shape[0] != rows.shape[0]:
-            raise InputError("need exactly one moment per constraint row")
-        if not np.all(np.isfinite(moments)):
-            raise InputError("moments must be finite")
+        moments = _moment_vector(self.moments, rows.shape[0], "constraint")
         if np.any(np.all(rows == 0.0, axis=1)):
             raise InputError("constraint rows must not be identically zero")
         if not np.any(np.all(np.abs(rows - 1.0) <= 1e-12, axis=1)):
@@ -101,9 +159,17 @@ class CoefficientMatrix:
                 "coefficient system must include the all-ones normalization row"
             )
         rows.setflags(write=False)
-        moments.setflags(write=False)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "moments", moments)
+        _attach(self, _RowForm(rows), moments)
+
+    def with_moments(self, moments) -> "CoefficientMatrix":
+        """The same rows with new moments.
+
+        The rows are not validated again, and the new system shares the
+        rows' elimination and binary test with this one.
+        """
+        return _derive(
+            CoefficientMatrix, self._form, _moment_vector(moments, self.n_rows, "constraint")
+        )
 
     @property
     def n_rows(self) -> int:
@@ -116,8 +182,7 @@ class CoefficientMatrix:
     @property
     def is_binary(self) -> bool:
         """True when every coefficient is exactly 0 or 1."""
-        r = self.rows
-        return bool(np.all((r == 0.0) | (r == 1.0)))
+        return self._form.is_binary
 
 
 @dataclass(frozen=True)
@@ -134,29 +199,19 @@ class ArchitectureMatrix:
 
     def __post_init__(self) -> None:
         rows = _as_matrix(self.rows)
-        moments = np.array(self.moments, dtype=float)
-        if moments.ndim != 1 or moments.shape[0] != rows.shape[0]:
-            raise InputError("need exactly one moment per architecture row")
-        _validate_rref(rows)
-        col_sums = rows.sum(axis=0)
-        # np.allclose(col_sums, 1.0, atol=1e-8), without its overhead.
-        if not (
-            np.all(np.abs(col_sums - 1.0) <= 1e-8 + 1e-5)
-            and abs(moments.sum() - 1.0) <= 1e-8
-        ):
-            # The normalization identity (unit column sums, moments summing
-            # to one) holds automatically when the input system contained
-            # the all-ones row; flag hand-built systems that lack it.
-            log.warning(
-                "architecture does not normalize: column sums deviate from 1 "
-                "(max dev %.3g) or moments sum to %.12g",
-                float(np.max(np.abs(col_sums - 1.0))),
-                float(moments.sum()),
-            )
+        moments = _moment_vector(self.moments, rows.shape[0], "architecture")
         rows.setflags(write=False)
-        moments.setflags(write=False)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "moments", moments)
+        form = _RowForm(rows)
+        form.check_rref()
+        _check_normalization(form, moments)
+        _attach(self, form, moments)
+
+    def with_moments(self, moments) -> "ArchitectureMatrix":
+        """The same canonical rows with new moments; the rows are not
+        validated again, and their cached facts are shared."""
+        return _architecture(
+            self._form, _moment_vector(moments, self.rank, "architecture")
+        )
 
     @property
     def rank(self) -> int:
@@ -167,8 +222,8 @@ class ArchitectureMatrix:
         return self.rows.shape[1]
 
     @property
-    def pivot_columns(self) -> tuple[int, ...]:
-        return tuple(int(np.argmax(row != 0.0)) for row in self.rows)
+    def pivot_columns(self) -> np.ndarray:
+        return self._form.pivot_columns
 
     def same_model(self, other: "ArchitectureMatrix", tol: float = 1e-9) -> bool:
         """Whether two canonical systems describe the same model."""
@@ -177,6 +232,28 @@ class ArchitectureMatrix:
             and bool(np.all(np.abs(self.rows - other.rows) <= tol))
             and bool(np.all(np.abs(self.moments - other.moments) <= tol))
         )
+
+
+def _check_normalization(form: _RowForm, moments: np.ndarray) -> None:
+    # The normalization identity (unit column sums, moments summing to
+    # one) holds automatically when the input system contained the
+    # all-ones row; flag hand-built systems that lack it.
+    deviation = form.column_sum_deviation
+    if not (deviation <= 1e-8 + 1e-5 and abs(moments.sum() - 1.0) <= 1e-8):
+        log.warning(
+            "architecture does not normalize: column sums deviate from 1 "
+            "(max dev %.3g) or moments sum to %.12g",
+            deviation,
+            float(moments.sum()),
+        )
+
+
+def _architecture(form: _RowForm, moments: np.ndarray) -> ArchitectureMatrix:
+    """An architecture on validated rows: the RREF check runs once per
+    form, the normalization check on every moment vector."""
+    form.check_rref()
+    _check_normalization(form, moments)
+    return _derive(ArchitectureMatrix, form, moments)
 
 
 def _validate_rref(rows: np.ndarray) -> None:
@@ -258,51 +335,75 @@ class NestingMap:
         object.__setattr__(self, "matrix", matrix)
 
 
-def to_architecture(
-    system: Union[CoefficientMatrix, ArchitectureMatrix],
-    *,
-    pivot_rtol: float = PIVOT_RTOL,
-) -> ArchitectureMatrix:
-    """Canonicalize a constraint system by Gauss-Jordan elimination.
+def _eliminate(rows: np.ndarray) -> tuple[_RowForm, tuple]:
+    """Gauss-Jordan elimination of ``rows``, kept so that it can be
+    replayed on any moment vector.
 
     Partial pivoting picks the largest remaining entry of each column;
-    entries at or below ``pivot_rtol`` times the largest entry of the
-    input rows are treated as zero, so a block left holding only
-    roundoff yields no pivot.  Rows eliminated to zero are
-    dropped; a zero row with a surviving right-hand side makes the system
-    inconsistent.
-
-    The output is idempotent: canonicalizing an architecture returns the
-    same matrix.
+    entries at or below :data:`PIVOT_RTOL` times the largest entry of
+    the input rows are treated as zero, so a block left holding only
+    roundoff yields no pivot.  Returns the form of the canonical rows
+    and the steps, each the row index it pivots on, the row swapped into
+    place, the pivot value and the factors by which the pivot row was
+    subtracted from every row.
     """
-    aug = np.column_stack([system.rows, system.moments])
-    n_rows, n_cols = system.rows.shape
-
-    threshold = pivot_rtol * float(np.abs(system.rows).max())
+    work = np.array(rows, dtype=float)
+    n_rows, n_cols = work.shape
+    threshold = PIVOT_RTOL * float(np.abs(rows).max())
+    steps = []
     rank = 0
     for col in range(n_cols):
         if rank == n_rows:
             break
-        column = np.abs(aug[rank:, col])
+        column = np.abs(work[rank:, col])
         local = int(column.argmax())
         if column[local] <= threshold:
             continue
         pivot_row = rank + local
         if pivot_row != rank:
-            aug[[rank, pivot_row]] = aug[[pivot_row, rank]]
-        aug[rank] /= aug[rank, col]
+            work[[rank, pivot_row]] = work[[pivot_row, rank]]
+        pivot = work[rank, col]
+        work[rank] /= pivot
         # A zero factor leaves the pivot row as it is.
-        factors = aug[:, col].copy()
+        factors = work[:, col].copy()
         factors[rank] = 0.0
-        aug -= np.outer(factors, aug[rank])
-        aug[:, col] = 0.0
-        aug[rank, col] = 1.0
+        work -= np.outer(factors, work[rank])
+        work[:, col] = 0.0
+        work[rank, col] = 1.0
+        steps.append((rank, pivot_row, pivot, factors))
         rank += 1
+    canonical = work[:rank].copy()
+    canonical.setflags(write=False)
+    return _RowForm(canonical), tuple(steps)
 
-    if rank < n_rows:
-        tail_moments = aug[rank:, n_cols]
+
+def to_architecture(
+    system: Union[CoefficientMatrix, ArchitectureMatrix],
+) -> ArchitectureMatrix:
+    """Canonicalize a constraint system by Gauss-Jordan elimination.
+
+    The elimination of the rows is computed once per row matrix (see
+    :func:`_eliminate`) and its steps are replayed on the moments, the
+    same operations in the same order as eliminating the augmented
+    system.  Rows eliminated to zero are dropped; a zero row with a
+    surviving right-hand side makes the system inconsistent.
+
+    The output is idempotent: canonicalizing an architecture returns the
+    same matrix.
+    """
+    form, steps = system._form.elimination
+    moments = np.array(system.moments)
+    for rank, pivot_row, pivot, factors in steps:
+        if pivot_row != rank:
+            moments[[rank, pivot_row]] = moments[[pivot_row, rank]]
+        moments[rank] /= pivot
+        moments -= factors * moments[rank]
+
+    rank = len(steps)
+    if rank < moments.size:
+        tail_moments = moments[rank:]
         moment_scale = max(1.0, float(np.max(np.abs(system.moments))))
-        bad = np.abs(tail_moments) > pivot_rtol * moment_scale
+        bad = np.abs(tail_moments) > PIVOT_RTOL * moment_scale
         if np.any(bad):
             raise InconsistentSystemError(
                 "moments are infeasible: eliminated row "
@@ -311,7 +412,9 @@ def to_architecture(
             )
     if rank == 0:
         raise InputError("constraint system reduced to nothing")
-    return ArchitectureMatrix(aug[:rank, :n_cols], aug[:rank, n_cols])
+    canonical = moments[:rank]
+    canonical.setflags(write=False)
+    return _architecture(form, canonical)
 
 
 def induced_moments(
@@ -355,6 +458,34 @@ def kernel_basis(
     return KernelBasis(null.T, Distribution(probs))
 
 
+def _nesting_matrix(
+    simple: ArchitectureMatrix, complex_: ArchitectureMatrix, tol: float
+) -> Optional[np.ndarray]:
+    """``matrix`` with ``simple == matrix @ complex_``, rows and moments
+    within ``tol``, or ``None``.
+
+    The pivot columns of ``complex_`` hold the identity, so the only
+    candidate for ``matrix`` is ``simple``'s entries in those columns.
+    """
+    if simple.n_states != complex_.n_states:
+        raise InputError("architectures must share one microstate space")
+    if simple.rank > complex_.rank:
+        return None
+    matrix = simple.rows[:, complex_.pivot_columns]
+    if float(np.max(np.abs(simple.rows - matrix @ complex_.rows))) > tol:
+        return None
+    if float(np.max(np.abs(simple.moments - matrix @ complex_.moments))) > tol:
+        return None
+    return matrix
+
+
+def is_nested(simple: ArchitectureMatrix, complex_: ArchitectureMatrix) -> bool:
+    """Whether every constraint of ``simple``, moments included, is
+    implied by ``complex_`` within :data:`NESTING_TOL`; the test of
+    :func:`nesting_map` without building the map."""
+    return _nesting_matrix(simple, complex_, NESTING_TOL) is not None
+
+
 def nesting_map(
     simple: ArchitectureMatrix,
     complex_: ArchitectureMatrix,
@@ -368,21 +499,8 @@ def nesting_map(
     of ``simple`` is implied by ``complex_`` (including the moments), and
     ``None`` otherwise.
     """
-    if simple.n_states != complex_.n_states:
-        raise InputError("architectures must share one microstate space")
-    if simple.rank > complex_.rank:
-        return None
-    solution, *_ = np.linalg.lstsq(complex_.rows.T, simple.rows.T, rcond=None)
-    matrix = solution.T
-    residual = float(np.max(np.abs(simple.rows - matrix @ complex_.rows)))
-    if residual > tol:
-        return None
-    moment_residual = float(
-        np.max(np.abs(simple.moments - matrix @ complex_.moments))
-    )
-    if moment_residual > tol:
-        return None
-    return NestingMap(matrix)
+    matrix = _nesting_matrix(simple, complex_, tol)
+    return None if matrix is None else NestingMap(matrix)
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,13 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 import numpy as np
 from scipy.special import gammainc, gammaincc
 
-from .constraints import ArchitectureMatrix, CoefficientMatrix, nesting_map, to_architecture
+from .constraints import (
+    ArchitectureMatrix,
+    CoefficientMatrix,
+    is_nested,
+    nesting_map,
+    to_architecture,
+)
 from .errors import (
     ConvergenceError,
     InputError,
@@ -162,9 +168,9 @@ def _fit_for_f(
     """
     probs = prob_array(f)
     if isinstance(candidate, CoefficientMatrix):
-        induced = CoefficientMatrix(candidate.rows, candidate.rows @ probs)
+        induced = candidate.with_moments(candidate.rows @ probs)
         return _fit_summary(fit_linear_system(induced, options))
-    induced_arch = ArchitectureMatrix(candidate.rows, candidate.rows @ probs)
+    induced_arch = candidate.with_moments(candidate.rows @ probs)
     if induced_arch.rank == induced_arch.n_states:
         # Saturated: the class is the single point f.
         return np.array(probs), entropy(probs), induced_arch.rank, induced_arch.n_states
@@ -319,33 +325,53 @@ class SelectionConfig:
 
 
 class ScoreTable(Sequence[ModelScore]):
-    """Read-only sequence of :class:`ModelScore`, held as columns.
+    """Read-only sequence of :class:`ModelScore`, held compactly.
 
-    A selection keeps one score per solvable candidate; as columns they
-    take about a quarter of the memory of the score objects, which are
-    rebuilt, equal field for field, on access.  ``columns`` maps every
-    :class:`ModelScore` field but the id to one entry per id.
+    A selection keeps one score per solvable candidate.  The table holds
+    each one's id, MaxEnt entropy and rank, plus the empirical entropy
+    ``h_f``, the state count and the sample size shared by all; the
+    other fields are recomputed on access by :func:`score_arrays`, which
+    is elementwise, so each rebuilt score equals the scored one field
+    for field.
     """
 
-    __slots__ = ("_ids", "_ints", "_floats")
+    __slots__ = ("_ids", "_entropy", "_rank", "_h_f", "_n_states", "_n")
 
-    _FLOATS = (
-        "maxent_entropy", "empirical_delta", "p_value", "bic", "aic", "expected_entropy",
-    )
-
-    def __init__(self, ids: Sequence, columns: Mapping[str, np.ndarray]) -> None:
+    def __init__(
+        self,
+        ids: Sequence,
+        maxent_entropy: np.ndarray,
+        rank: np.ndarray,
+        h_f: float,
+        n_states: int,
+        n: int,
+    ) -> None:
         self._ids = tuple(ids)
-        self._ints = np.column_stack([columns["rank"], columns["n_states"]]).astype(np.int64)
-        self._floats = np.column_stack([columns[k] for k in self._FLOATS]).astype(float)
+        self._entropy = np.asarray(maxent_entropy, dtype=float)
+        self._rank = np.asarray(rank).astype(np.min_scalar_type(n_states))
+        self._h_f = h_f
+        self._n_states = int(n_states)
+        self._n = n
+
+    def _scores(self, idx: np.ndarray) -> list[ModelScore]:
+        h_hat, rank = self._entropy[idx], self._rank[idx]
+        columns = score_arrays(h_hat, self._h_f, rank, self._n_states, self._n)[:5]
+        return [
+            ModelScore(self._ids[i], r, self._n_states, *fields)
+            for i, r, *fields in zip(
+                idx.tolist(), rank.tolist(), h_hat.tolist(), *(c.tolist() for c in columns)
+            )
+        ]
 
     def __len__(self) -> int:
         return len(self._ids)
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self[j] for j in range(*i.indices(len(self))))
-        rank, n_states = self._ints[i].tolist()
-        return ModelScore(self._ids[i], rank, n_states, *self._floats[i].tolist())
+        scores = self._scores(np.atleast_1d(np.arange(len(self))[i]))
+        return tuple(scores) if isinstance(i, slice) else scores[0]
+
+    def __iter__(self):
+        return iter(self._scores(np.arange(len(self))))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, (ScoreTable, tuple)):
@@ -407,8 +433,8 @@ def _score_and_fit(
 ) -> tuple[ScoreTable, dict[str, np.ndarray], np.ndarray, float, list[Optional[FitResult]]]:
     """Fit and score every candidate; failures, entropy deficits
     included, are logged, not raised.  Returns the solvable candidates'
-    :class:`ScoreTable`, every candidate's score columns keyed by
-    :class:`ModelScore` field, the mask of solvable candidates, the
+    :class:`ScoreTable`, every candidate's score columns that
+    :func:`_select_columns` reads, keyed by :class:`ModelScore` field, the mask of solvable candidates, the
     empirical entropy, and each coefficient system's fit (``None`` for
     architectures and failures)."""
     if not candidates:
@@ -416,11 +442,7 @@ def _score_and_fit(
     probs = prob_array(f)
     h_f = entropy(probs)
     batch = iter(fit_linear_systems(
-        [
-            CoefficientMatrix(c.rows, c.rows @ probs)
-            for c in candidates
-            if isinstance(c, CoefficientMatrix)
-        ],
+        [c.with_moments(c.rows @ probs) for c in candidates if isinstance(c, CoefficientMatrix)],
         options,
     ))
     fits: list[Optional[FitResult]] = []
@@ -437,18 +459,18 @@ def _score_and_fit(
         fits.append(fit)
         summaries.append(summary[1:])
     h_hat, rank, n_states = (np.array(column) for column in zip(*summaries))
-    *scores, deficit = score_arrays(h_hat, h_f, rank, n_states, n)
+    _, p_value, bic_score, aic_score, _, deficit = score_arrays(h_hat, h_f, rank, n_states, n)
     for i in np.flatnonzero(deficit):
         log.warning("candidate %s failed to solve: %s", ids[i], _deficit_error(h_hat[i] - h_f))
         fits[i] = None
     valid = ~np.isnan(h_hat) & ~deficit
-    # score_arrays returns the ModelScore fields after maxent_entropy, in order.
     columns = dict(
-        zip(ScoreTable._FLOATS[1:], scores), rank=rank, n_states=n_states, maxent_entropy=h_hat
+        rank=rank, n_states=n_states, maxent_entropy=h_hat,
+        p_value=p_value, bic=bic_score, aic=aic_score,
     )
     table = ScoreTable(
         [cid for cid, ok in zip(ids, valid) if ok],
-        {name: column[valid] for name, column in columns.items()},
+        h_hat[valid], rank[valid], h_f, probs.size, n,
     )
     return table, columns, valid, h_f, fits
 
@@ -564,11 +586,7 @@ def _nesting_implies(
         key = (i, j)
         if key not in cache:
             a, b = architectures[i], architectures[j]
-            cache[key] = (
-                a is not None
-                and b is not None
-                and nesting_map(a, b) is not None
-            )
+            cache[key] = a is not None and b is not None and is_nested(a, b)
         return cache[key]
 
     return implies
@@ -607,9 +625,7 @@ def select(
                 # Nothing excluded: the fit canonicalized this very system.
                 architectures.append(fit.architecture)
             else:
-                architectures.append(
-                    to_architecture(CoefficientMatrix(cand.rows, cand.rows @ probs))
-                )
+                architectures.append(to_architecture(cand.with_moments(cand.rows @ probs)))
         implies = _nesting_implies(architectures)
 
     index, fallback = _select_columns(columns, valid, n, config, implies)

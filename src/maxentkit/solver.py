@@ -33,6 +33,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .constraints import (
+    MOMENT_ZERO_TOL,
     ArchitectureMatrix,
     CoefficientMatrix,
     KernelBasis,
@@ -373,7 +374,7 @@ def _working_system(
     the mask of excluded states."""
     excluded = np.zeros(system.n_states, dtype=bool)
     reduced = system
-    if system.is_binary:
+    if system.is_binary and not _inside_binary_support(system):
         reduction = reduce_binary_support(system.rows, system.moments)
         # With no state excluded every row survives: the system is its
         # own reduction.
@@ -381,6 +382,19 @@ def _working_system(
             excluded = reduction.excluded
             reduced = CoefficientMatrix(reduction.rows, reduction.moments)
     return reduced, to_architecture(reduced), excluded
+
+
+def _inside_binary_support(system: CoefficientMatrix) -> bool:
+    """Whether the exclusion cascade provably excludes nothing and
+    raises nothing: every partial-support row has its moment strictly
+    inside ``(ztol, 1 - ztol)`` and every full-support row within
+    ``ztol`` of one (see :func:`reduce_binary_support`)."""
+    m = system.moments
+    return bool(np.all(np.where(
+        system.rows.all(axis=1),
+        np.abs(m - 1.0) <= MOMENT_ZERO_TOL,
+        (m > MOMENT_ZERO_TOL) & (m < 1.0 - MOMENT_ZERO_TOL),
+    )))
 
 
 def _saturated_solution(architecture: ArchitectureMatrix) -> MaxEntSolution:

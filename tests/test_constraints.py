@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maxentkit import constraints
 from maxentkit.constraints import (
     ArchitectureMatrix,
     CoefficientMatrix,
@@ -138,6 +139,98 @@ class TestToArchitecture:
         fit = fit_linear_system(system)
         assert fit.rank_effective == 3
         assert np.max(np.abs(rows @ fit.probabilities - rows @ p)) < 1e-9
+
+
+def augmented_rref(rows, moments):
+    """Reference: Gauss-Jordan elimination of ``[rows | moments]`` in one
+    pass, with the pivot rule of ``to_architecture``.  Returns the
+    canonical rows, their moments and the moments of the eliminated rows."""
+    aug = np.column_stack([rows, moments])
+    n_rows, n_cols = rows.shape
+    threshold = 1e-9 * float(np.abs(rows).max())
+    rank = 0
+    for col in range(n_cols):
+        if rank == n_rows:
+            break
+        column = np.abs(aug[rank:, col])
+        local = int(column.argmax())
+        if column[local] <= threshold:
+            continue
+        if local:
+            aug[[rank, rank + local]] = aug[[rank + local, rank]]
+        aug[rank] /= aug[rank, col]
+        factors = aug[:, col].copy()
+        factors[rank] = 0.0
+        aug -= np.outer(factors, aug[rank])
+        aug[:, col] = 0.0
+        aug[rank, col] = 1.0
+        rank += 1
+    return aug[:rank, :n_cols], aug[:rank, n_cols], aug[rank:, n_cols]
+
+
+class TestCachedElimination:
+    # Column 0 pivots on row 2, so rows swap; row 3 is row 0 + row 2, so
+    # one row is eliminated to zero.
+    ROWS = np.array(
+        [
+            [0, 1, 0, 1, 2, 0],
+            [1, 1, 1, 1, 1, 1],
+            [2, 0, 1, 0, 1, 1],
+            [2, 1, 1, 1, 3, 1],
+            [-1, 0, 1, 0, -1, 2],
+        ],
+        dtype=float,
+    )
+
+    def test_replay_matches_fresh_system_and_reference(self, rng, monkeypatch):
+        system = CoefficientMatrix(self.ROWS, self.ROWS @ np.full(6, 1 / 6))
+        calls = []
+        eliminate = constraints._eliminate
+        monkeypatch.setattr(
+            constraints, "_eliminate", lambda rows: calls.append(1) or eliminate(rows)
+        )
+        for _ in range(5):
+            moments = self.ROWS @ rng.dirichlet(np.ones(6))
+            cached = to_architecture(system.with_moments(moments))
+            fresh = to_architecture(CoefficientMatrix(system.rows, moments))
+            rows, canonical, _ = augmented_rref(self.ROWS, moments)
+            assert cached.rank == 4
+            for arch in (cached, fresh):
+                assert np.array_equal(arch.rows, rows)
+                assert np.array_equal(arch.moments, canonical)
+        # One elimination for the shared rows, one per fresh system.
+        assert len(calls) == 1 + 5
+
+    def test_inconsistent_moments_still_raise(self, rng):
+        system = CoefficientMatrix(self.ROWS, self.ROWS @ np.full(6, 1 / 6))
+        moments = self.ROWS @ rng.dirichlet(np.ones(6))
+        moments[3] += 0.1
+        with pytest.raises(InconsistentSystemError, match="infeasible"):
+            to_architecture(system.with_moments(moments))
+        moments[3] -= 0.1
+        arch = to_architecture(system.with_moments(moments))
+        assert np.array_equal(arch.moments, augmented_rref(self.ROWS, moments)[1])
+
+    def test_architecture_with_moments_equals_constructor(self):
+        arch = to_architecture(marginal_2x2())
+        moments = np.array([0.25, 0.35, 0.4])
+        derived = arch.with_moments(moments)
+        built = ArchitectureMatrix(arch.rows, moments)
+        assert np.array_equal(derived.rows, built.rows)
+        assert np.array_equal(derived.moments, built.moments)
+        assert np.array_equal(to_architecture(derived).moments, moments)
+
+    @pytest.mark.parametrize(
+        "moments",
+        [[1.0, 0.4], [1.0, 0.4, 0.7, 0.1], [1.0, np.nan, 0.7], [1.0, 0.4, np.inf]],
+        ids=["short", "long", "nan", "inf"],
+    )
+    def test_with_moments_validates(self, moments):
+        system = marginal_2x2()
+        with pytest.raises(InputError):
+            system.with_moments(np.array(moments))
+        with pytest.raises(InputError):
+            to_architecture(system).with_moments(np.array(moments))
 
 
 class TestArchitectureMatrix:

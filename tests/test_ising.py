@@ -163,12 +163,13 @@ class TestToCoefficients:
         system = to_coefficients(model, p)
         assert np.allclose(system.moments, system.rows @ p)
 
-    def test_nesting_matches_containment(self):
+    @pytest.mark.parametrize("n_spins", [3, 4])
+    def test_nesting_matches_containment(self, n_spins):
         """Class containment of spin models must coincide with the
         linear-algebraic nesting of their constraint systems."""
-        models = enumerate_models(3)
+        models = enumerate_models(n_spins)
         rng = np.random.default_rng(42)
-        p = rng.dirichlet(np.ones(8) * 2.0)
+        p = rng.dirichlet(np.ones(2**n_spins) * 2.0)
         arches = [
             to_architecture(to_coefficients(m, p)) for m in models
         ]

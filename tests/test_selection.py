@@ -261,6 +261,26 @@ class TestLrtReusesCanonicalForms:
             assert (n_excluding > 0) == bool(empty)
 
 
+class TestCandidatesReusedAcrossSamples:
+    LIBRARY = TestLrtReusesCanonicalForms.LIBRARY
+
+    def test_same_objects_select_like_fresh_copies(self):
+        """The candidates cache work that depends on their rows alone; no
+        sample may leak into the next through that cache.  States 14 and
+        15 get no samples in the first and last sample, so every model
+        holding 1.2.3 excludes them there."""
+        rng = np.random.default_rng(11)
+        q = boltzmann(random_params(TestLrtReusesCanonicalForms.TRUTH, rng)).probs
+        sparse = rng.multinomial(100, q)
+        sparse[[14, 15]] = 0
+        samples = [(sparse / sparse.sum(), 100), (rng.multinomial(10_000, q) / 10_000, 10_000)]
+        for f, n in samples + samples[:1]:
+            for method in selection.METHODS:
+                config = SelectionConfig(method)
+                fresh = [CoefficientMatrix(c.rows.copy(), c.moments.copy()) for c in self.LIBRARY]
+                assert select(self.LIBRARY, f, n, config) == select(fresh, f, n, config)
+
+
 class TestInformationCriteria:
     def test_definitions(self, rng):
         f = rng.dirichlet(np.full(4, 3.0))

@@ -189,6 +189,17 @@ class TestFitLinearSystem:
         with pytest.raises(InfeasibleMomentsError):
             fit_linear_system(system)
 
+    @pytest.mark.parametrize(
+        "total, error", [(0.9, InfeasibleMomentsError), (1.2, InputError)]
+    )
+    def test_exclusion_cascade_checks_the_normalization(self, total, error):
+        # The marginals are interior, so only the normalization moment
+        # sends the system through the cascade; skipped, Newton would fit
+        # a distribution of mass ``total``.
+        system = CoefficientMatrix(marginal_2x2().rows, np.array([total, 0.4, 0.7]))
+        with pytest.raises(error):
+            fit_linear_system(system)
+
     def test_ipf_handles_zero_targets_directly(self):
         result = fit_linear_system(marginal_2x2(0.0, 0.7), method="ipf")
         assert np.allclose(result.probabilities, [0.3, 0.7, 0.0, 0.0])
