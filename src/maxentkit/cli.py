@@ -345,6 +345,12 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="maxentkit",
         description="maximum-entropy fitting, model selection, and spin benchmarks",
     )
+    parser.add_argument(
+        "--log-level",
+        choices=("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL"),
+        default="WARNING",
+        help="least severe package log message to print (default WARNING)",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     fit = sub.add_parser("fit", help="solve one constraint system")
@@ -393,6 +399,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
     args = _build_parser().parse_args(argv)
+    logging.getLogger("maxentkit").setLevel(args.log_level)
     try:
         return args.func(args)
     except SelectionError as exc:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -98,6 +98,7 @@ class _RowForm:
     def __init__(self, matrix: np.ndarray) -> None:
         self.matrix = matrix
         self._rref_checked = False
+        self._within: dict["_RowForm", bool] = {}
 
     @cached_property
     def is_binary(self) -> bool:
@@ -105,8 +106,24 @@ class _RowForm:
         return bool(np.all((r == 0.0) | (r == 1.0)))
 
     @cached_property
-    def elimination(self) -> tuple["_RowForm", tuple]:
+    def full_support(self) -> np.ndarray:
+        """Mask of the rows with no zero entry."""
+        return self.matrix.all(axis=1)
+
+    @cached_property
+    def elimination(self) -> "_Elimination":
         return _eliminate(self.matrix)
+
+    @property
+    def canonical(self) -> "_RowForm":
+        """The form of the RREF of these rows."""
+        return self.elimination.canonical
+
+    @cached_property
+    def replay_key(self) -> tuple[int, int]:
+        """Row count and number of elimination steps: the forms whose
+        eliminations :func:`_architectures` replays in lockstep."""
+        return self.matrix.shape[0], self.elimination.pivots.size
 
     @cached_property
     def pivot_columns(self) -> np.ndarray:
@@ -123,6 +140,28 @@ class _RowForm:
         if not self._rref_checked:
             _validate_rref(self.matrix)
             self._rref_checked = True
+
+    def within(self, other: "_RowForm") -> bool:
+        """Whether the RREF rows of this form lie in the row space of the
+        RREF rows ``other`` within :data:`NESTING_TOL`.
+
+        The pivot columns of ``other`` hold the identity, so the only
+        candidate coefficients are this matrix's entries in those
+        columns.  Fewer rows cannot span these independent ones; any
+        other answer is kept per ``other`` tested, which it keeps alive.
+        """
+        if self.matrix.shape[0] > other.matrix.shape[0]:
+            return False
+        found = self._within.get(other)
+        if found is None:
+            coeffs = self.matrix[:, other.pivot_columns]
+            found = _max_abs(self.matrix - coeffs @ other.matrix) <= NESTING_TOL
+            self._within[other] = found
+        return found
+
+
+def _max_abs(a: np.ndarray) -> float:
+    return float(np.max(np.abs(a)))
 
 
 def _attach(system, form: _RowForm, moments: np.ndarray) -> None:
@@ -203,15 +242,14 @@ class ArchitectureMatrix:
         rows.setflags(write=False)
         form = _RowForm(rows)
         form.check_rref()
-        _check_normalization(form, moments)
+        _check_normalization(form, float(moments.sum()))
         _attach(self, form, moments)
 
     def with_moments(self, moments) -> "ArchitectureMatrix":
         """The same canonical rows with new moments; the rows are not
         validated again, and their cached facts are shared."""
-        return _architecture(
-            self._form, _moment_vector(moments, self.rank, "architecture")
-        )
+        moments = _moment_vector(moments, self.rank, "architecture")
+        return _architecture(self._form, moments, float(moments.sum()))
 
     @property
     def rank(self) -> int:
@@ -234,25 +272,26 @@ class ArchitectureMatrix:
         )
 
 
-def _check_normalization(form: _RowForm, moments: np.ndarray) -> None:
+def _check_normalization(form: _RowForm, total: float) -> None:
     # The normalization identity (unit column sums, moments summing to
     # one) holds automatically when the input system contained the
     # all-ones row; flag hand-built systems that lack it.
     deviation = form.column_sum_deviation
-    if not (deviation <= 1e-8 + 1e-5 and abs(moments.sum() - 1.0) <= 1e-8):
+    if not (deviation <= 1e-8 + 1e-5 and abs(total - 1.0) <= 1e-8):
         log.warning(
             "architecture does not normalize: column sums deviate from 1 "
             "(max dev %.3g) or moments sum to %.12g",
             deviation,
-            float(moments.sum()),
+            total,
         )
 
 
-def _architecture(form: _RowForm, moments: np.ndarray) -> ArchitectureMatrix:
+def _architecture(form: _RowForm, moments: np.ndarray, total: float) -> ArchitectureMatrix:
     """An architecture on validated rows: the RREF check runs once per
-    form, the normalization check on every moment vector."""
+    form, the normalization check on every moment vector, whose sum is
+    ``total``."""
     form.check_rref()
-    _check_normalization(form, moments)
+    _check_normalization(form, total)
     return _derive(ArchitectureMatrix, form, moments)
 
 
@@ -335,22 +374,38 @@ class NestingMap:
         object.__setattr__(self, "matrix", matrix)
 
 
-def _eliminate(rows: np.ndarray) -> tuple[_RowForm, tuple]:
+class _Elimination(NamedTuple):
+    """Gauss-Jordan elimination of a row matrix, kept to be replayed on
+    moment vectors (see :func:`_eliminate`)."""
+
+    canonical: _RowForm
+    #: Where each row of the eliminated matrix was in the input.
+    order: np.ndarray
+    #: Per step, the value the pivot row is divided by.
+    pivots: np.ndarray
+    #: Per step, the multiple of the pivot row subtracted from each row,
+    #: rows in ``order``.
+    factors: np.ndarray
+
+
+def _eliminate(rows: np.ndarray) -> _Elimination:
     """Gauss-Jordan elimination of ``rows``, kept so that it can be
     replayed on any moment vector.
 
     Partial pivoting picks the largest remaining entry of each column;
     entries at or below :data:`PIVOT_RTOL` times the largest entry of
     the input rows are treated as zero, so a block left holding only
-    roundoff yields no pivot.  Returns the form of the canonical rows
-    and the steps, each the row index it pivots on, the row swapped into
-    place, the pivot value and the factors by which the pivot row was
-    subtracted from every row.
+    roundoff yields no pivot.  A row, once swapped into pivot place ``k``,
+    is never swapped again, so the swaps compose to one reordering of
+    the input rows: taken up front, it leaves step ``k`` to divide row
+    ``k`` by its pivot and subtract its multiples from every row, the
+    same operations on the same values as with the swaps in between.
     """
     work = np.array(rows, dtype=float)
     n_rows, n_cols = work.shape
     threshold = PIVOT_RTOL * float(np.abs(rows).max())
-    steps = []
+    order = np.arange(n_rows)
+    pivots, factors = [], []
     rank = 0
     for col in range(n_cols):
         if rank == n_rows:
@@ -362,19 +417,79 @@ def _eliminate(rows: np.ndarray) -> tuple[_RowForm, tuple]:
         pivot_row = rank + local
         if pivot_row != rank:
             work[[rank, pivot_row]] = work[[pivot_row, rank]]
+            order[[rank, pivot_row]] = order[[pivot_row, rank]]
         pivot = work[rank, col]
         work[rank] /= pivot
         # A zero factor leaves the pivot row as it is.
-        factors = work[:, col].copy()
-        factors[rank] = 0.0
-        work -= np.outer(factors, work[rank])
+        factor = work[:, col].copy()
+        factor[rank] = 0.0
+        work -= np.outer(factor, work[rank])
         work[:, col] = 0.0
         work[rank, col] = 1.0
-        steps.append((rank, pivot_row, pivot, factors))
+        pivots.append(pivot)
+        # Indexed by input row until the final order is known.
+        by_input = np.empty(n_rows)
+        by_input[order] = factor
+        factors.append(by_input)
         rank += 1
     canonical = work[:rank].copy()
     canonical.setflags(write=False)
-    return _RowForm(canonical), tuple(steps)
+    arrays = (
+        order,
+        np.array(pivots, dtype=float),
+        np.array(factors, dtype=float).reshape(rank, n_rows)[:, order],
+    )
+    for a in arrays:
+        a.setflags(write=False)
+    return _Elimination(_RowForm(canonical), *arrays)
+
+
+def _architectures(
+    forms: Sequence[_RowForm], moments: np.ndarray
+) -> list[Union[ArchitectureMatrix, InconsistentSystemError]]:
+    """Canonical forms of many systems, by one lockstep replay.
+
+    The systems have the row forms ``forms``, which share one
+    :attr:`_RowForm.replay_key`, and the stacked moments ``moments``,
+    one row each.  Step ``k`` of every form's elimination is replayed on
+    its own row at once, so each system sees the same elementwise
+    operations in the same order as alone, and its result does not
+    depend on the stack.  A system whose eliminated rows keep a
+    right-hand side gets its :class:`InconsistentSystemError` in its
+    place.
+    """
+    steps = [form.elimination for form in forms]
+    n_steps = forms[0].replay_key[1]
+    if n_steps == 0:
+        raise InputError("constraint system reduced to nothing")
+    order, pivots, factors = (
+        np.array([getattr(e, name) for e in steps]) for name in ("order", "pivots", "factors")
+    )
+    work = np.take_along_axis(np.asarray(moments, dtype=float), order, axis=1)
+    for k in range(n_steps):
+        work[:, k] /= pivots[:, k]
+        work -= factors[:, k] * work[:, k, None]
+
+    # A zero row with a surviving right-hand side, beyond roundoff of
+    # the moments' own scale, makes the system inconsistent.
+    scale = np.maximum(1.0, np.max(np.abs(moments), axis=1))
+    tails = work[:, n_steps:]
+    bad = np.abs(tails) > PIVOT_RTOL * scale[:, None]
+    canonical = work[:, :n_steps]
+    canonical.setflags(write=False)
+    # A row's sum along the contiguous axis has the bits of its own sum.
+    totals = canonical.sum(axis=1).tolist()
+    out: list[Union[ArchitectureMatrix, InconsistentSystemError]] = []
+    for k, inconsistent in enumerate(bad.any(axis=1).tolist()):
+        if inconsistent:
+            a = int(bad[k].argmax())
+            out.append(InconsistentSystemError(
+                f"moments are infeasible: eliminated row {n_steps + a} "
+                f"keeps right-hand side {float(tails[k, a]):.6g}"
+            ))
+        else:
+            out.append(_architecture(steps[k].canonical, canonical[k], totals[k]))
+    return out
 
 
 def to_architecture(
@@ -385,36 +500,17 @@ def to_architecture(
     The elimination of the rows is computed once per row matrix (see
     :func:`_eliminate`) and its steps are replayed on the moments, the
     same operations in the same order as eliminating the augmented
-    system.  Rows eliminated to zero are dropped; a zero row with a
-    surviving right-hand side makes the system inconsistent.
+    system; this is :func:`_architectures` on a stack of one.  Rows
+    eliminated to zero are dropped; a zero row with a surviving
+    right-hand side makes the system inconsistent.
 
     The output is idempotent: canonicalizing an architecture returns the
     same matrix.
     """
-    form, steps = system._form.elimination
-    moments = np.array(system.moments)
-    for rank, pivot_row, pivot, factors in steps:
-        if pivot_row != rank:
-            moments[[rank, pivot_row]] = moments[[pivot_row, rank]]
-        moments[rank] /= pivot
-        moments -= factors * moments[rank]
-
-    rank = len(steps)
-    if rank < moments.size:
-        tail_moments = moments[rank:]
-        moment_scale = max(1.0, float(np.max(np.abs(system.moments))))
-        bad = np.abs(tail_moments) > PIVOT_RTOL * moment_scale
-        if np.any(bad):
-            raise InconsistentSystemError(
-                "moments are infeasible: eliminated row "
-                f"{rank + int(np.argmax(bad))} keeps right-hand side "
-                f"{float(tail_moments[np.argmax(bad)]):.6g}"
-            )
-    if rank == 0:
-        raise InputError("constraint system reduced to nothing")
-    canonical = moments[:rank]
-    canonical.setflags(write=False)
-    return _architecture(form, canonical)
+    (architecture,) = _architectures([system._form], system.moments[None])
+    if isinstance(architecture, InconsistentSystemError):
+        raise architecture
+    return architecture
 
 
 def induced_moments(
@@ -467,23 +563,32 @@ def _nesting_matrix(
     The pivot columns of ``complex_`` hold the identity, so the only
     candidate for ``matrix`` is ``simple``'s entries in those columns.
     """
-    if simple.n_states != complex_.n_states:
-        raise InputError("architectures must share one microstate space")
+    _check_same_space(simple, complex_)
     if simple.rank > complex_.rank:
         return None
     matrix = simple.rows[:, complex_.pivot_columns]
-    if float(np.max(np.abs(simple.rows - matrix @ complex_.rows))) > tol:
+    if _max_abs(simple.rows - matrix @ complex_.rows) > tol:
         return None
-    if float(np.max(np.abs(simple.moments - matrix @ complex_.moments))) > tol:
+    if _max_abs(simple.moments - matrix @ complex_.moments) > tol:
         return None
     return matrix
+
+
+def _check_same_space(simple: ArchitectureMatrix, complex_: ArchitectureMatrix) -> None:
+    if simple.n_states != complex_.n_states:
+        raise InputError("architectures must share one microstate space")
 
 
 def is_nested(simple: ArchitectureMatrix, complex_: ArchitectureMatrix) -> bool:
     """Whether every constraint of ``simple``, moments included, is
     implied by ``complex_`` within :data:`NESTING_TOL`; the test of
-    :func:`nesting_map` without building the map."""
-    return _nesting_matrix(simple, complex_, NESTING_TOL) is not None
+    :func:`nesting_map` without building the map.  Its rows part is
+    kept per pair of row forms (see :meth:`_RowForm.within`)."""
+    _check_same_space(simple, complex_)
+    if not simple._form.within(complex_._form):
+        return False
+    matrix = simple.rows[:, complex_.pivot_columns]
+    return _max_abs(simple.moments - matrix @ complex_.moments) <= NESTING_TOL
 
 
 def nesting_map(

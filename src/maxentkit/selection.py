@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
-from scipy.special import gammainc, gammaincc
+from scipy.special import gammainc, gammaincc, xlogy
 
 from .constraints import (
     ArchitectureMatrix,
@@ -419,7 +419,7 @@ def score_candidates(
     """
     if ids is None:
         ids = list(range(len(candidates)))
-    table, _, valid, h_f, _ = _score_and_fit(candidates, f, n, ids, options)
+    table, _, valid, h_f = _score_and_fit(candidates, f, n, ids, options)
     rows = iter(table)
     return [next(rows) if ok else None for ok in valid], h_f
 
@@ -430,39 +430,44 @@ def _score_and_fit(
     n: int,
     ids: Sequence[Union[int, str]],
     options: Optional[SolveOptions],
-) -> tuple[ScoreTable, dict[str, np.ndarray], np.ndarray, float, list[Optional[FitResult]]]:
+) -> tuple[ScoreTable, dict[str, np.ndarray], np.ndarray, float]:
     """Fit and score every candidate; failures, entropy deficits
     included, are logged, not raised.  Returns the solvable candidates'
     :class:`ScoreTable`, every candidate's score columns that
-    :func:`_select_columns` reads, keyed by :class:`ModelScore` field, the mask of solvable candidates, the
-    empirical entropy, and each coefficient system's fit (``None`` for
-    architectures and failures)."""
+    :func:`_select_columns` reads, keyed by :class:`ModelScore` field,
+    the mask of solvable candidates, and the empirical entropy."""
     if not candidates:
         raise InputError("need at least one candidate")
     probs = prob_array(f)
     h_f = entropy(probs)
-    batch = iter(fit_linear_systems(
+    batch = fit_linear_systems(
         [c.with_moments(c.rows @ probs) for c in candidates if isinstance(c, CoefficientMatrix)],
         options,
-    ))
-    fits: list[Optional[FitResult]] = []
+    )
+    # The fits' entropies in one pass over their stacked probabilities;
+    # each row's sum has the bits of entropy() on that row alone.
+    solved = [fit.probabilities for fit in batch if isinstance(fit, FitResult)]
+    stack = np.reshape(solved, (len(solved), probs.size))
+    entropies = iter(-xlogy(stack, stack).sum(axis=1))
+    batch = iter(batch)
     summaries = []
     for cid, cand in zip(ids, candidates):
         fit = next(batch) if isinstance(cand, CoefficientMatrix) else None
         try:
             if isinstance(fit, SolverError):
                 raise fit
-            summary = _fit_for_f(cand, probs, options) if fit is None else _fit_summary(fit)
+            if fit is None:
+                summary = _fit_for_f(cand, probs, options)[1:]
+            else:
+                summary = (float(next(entropies)), fit.rank_effective, fit.n_states)
         except SolverError as exc:
             log.warning("candidate %s failed to solve: %s", cid, exc)
-            fit, summary = None, (None, math.nan, 0, 0)  # NaN marks the failure
-        fits.append(fit)
-        summaries.append(summary[1:])
+            summary = (math.nan, 0, 0)  # NaN marks the failure
+        summaries.append(summary)
     h_hat, rank, n_states = (np.array(column) for column in zip(*summaries))
     _, p_value, bic_score, aic_score, _, deficit = score_arrays(h_hat, h_f, rank, n_states, n)
     for i in np.flatnonzero(deficit):
         log.warning("candidate %s failed to solve: %s", ids[i], _deficit_error(h_hat[i] - h_f))
-        fits[i] = None
     valid = ~np.isnan(h_hat) & ~deficit
     columns = dict(
         rank=rank, n_states=n_states, maxent_entropy=h_hat,
@@ -472,7 +477,7 @@ def _score_and_fit(
         [cid for cid, ok in zip(ids, valid) if ok],
         h_hat[valid], rank[valid], h_f, probs.size, n,
     )
-    return table, columns, valid, h_f, fits
+    return table, columns, valid, h_f
 
 
 def select_arrays(
@@ -565,8 +570,12 @@ def _select_columns(
     field, with the pairwise ``implies`` of :func:`select_scored`."""
     implying = None
     if implies is not None:
+        rank = columns["rank"]
+
         def implying(i: int) -> list[int]:
-            return [j for j in range(len(valid)) if j != i and implies(i, j)]
+            # select_arrays reads only the valid candidates of higher rank.
+            higher = np.flatnonzero(valid & (rank > rank[i])).tolist()
+            return [j for j in higher if implies(i, j)]
 
     # Every candidate shares one state space; take the first valid one's.
     n_states = columns["n_states"][valid]
@@ -578,16 +587,43 @@ def _select_columns(
 
 
 def _nesting_implies(
-    architectures: Sequence[Optional[ArchitectureMatrix]],
+    candidates: Sequence[Union[ArchitectureMatrix, CoefficientMatrix]],
+    valid: np.ndarray,
+    probs: np.ndarray,
 ) -> Callable[[int, int], bool]:
-    cache: dict[tuple[int, int], bool] = {}
+    """Nesting among the solvable candidates on their full-space
+    canonical forms, moments induced by ``probs`` for coefficient
+    systems.
+
+    Between two coefficient systems the canonical rows alone decide, so
+    the test is the rows part kept on their forms across samples.  The
+    canonical moments are ``S f`` and ``C f`` for canonical rows ``S``
+    and ``C`` (up to roundoff), so with ``M`` the coefficients of the
+    rows test, ``|S f - M C f| <= max|S - M C| * ||f||_1 = max|S - M C|``:
+    the moments part holds whenever the rows part does.  A pair with a
+    given architecture is tested in full by :func:`is_nested`.
+    """
+    valid = valid.tolist()
+    forms = [
+        cand._form.canonical if ok and isinstance(cand, CoefficientMatrix) else None
+        for cand, ok in zip(candidates, valid)
+    ]
+    architectures: dict[int, ArchitectureMatrix] = {}
+
+    def architecture(i: int) -> ArchitectureMatrix:
+        if i not in architectures:
+            cand = candidates[i]
+            if isinstance(cand, CoefficientMatrix):
+                cand = to_architecture(cand.with_moments(cand.rows @ probs))
+            architectures[i] = cand
+        return architectures[i]
 
     def implies(i: int, j: int) -> bool:
-        key = (i, j)
-        if key not in cache:
-            a, b = architectures[i], architectures[j]
-            cache[key] = a is not None and b is not None and is_nested(a, b)
-        return cache[key]
+        if not (valid[i] and valid[j]):
+            return False
+        if forms[i] is not None and forms[j] is not None:
+            return forms[i].within(forms[j])
+        return is_nested(architecture(i), architecture(j))
 
     return implies
 
@@ -611,22 +647,10 @@ def select(
     """
     if ids is None:
         ids = list(range(len(candidates)))
-    table, columns, valid, _, fits = _score_and_fit(candidates, f, n, ids, options)
+    table, columns, valid, _ = _score_and_fit(candidates, f, n, ids, options)
 
     if implies is None and config.method == "hyper_maxent_lrt":
-        probs = prob_array(f)
-        architectures: list[Optional[ArchitectureMatrix]] = []
-        for cand, ok, fit in zip(candidates, valid, fits):
-            if not ok:
-                architectures.append(None)
-            elif fit is None:
-                architectures.append(cand)
-            elif not fit.excluded.any():
-                # Nothing excluded: the fit canonicalized this very system.
-                architectures.append(fit.architecture)
-            else:
-                architectures.append(to_architecture(cand.with_moments(cand.rows @ probs)))
-        implies = _nesting_implies(architectures)
+        implies = _nesting_implies(candidates, valid, prob_array(f))
 
     index, fallback = _select_columns(columns, valid, n, config, implies)
     return SelectionResult(

@@ -161,6 +161,31 @@ class Distribution:
     def uniform(cls, n_states: int) -> "Distribution":
         return cls(np.full(n_states, 1.0 / n_states))
 
+    @classmethod
+    def stack(cls, probs: np.ndarray) -> list["Distribution"]:
+        """Each row of the 2-d array ``probs`` as a distribution.
+
+        The checks of the constructor run once on the whole stack, and
+        the first row that fails raises what its own constructor would
+        (a row sum along the contiguous axis has the same bits as the
+        sum of that row alone).  The rows are read-only views of
+        ``probs``, which the caller hands over and must not write to.
+        """
+        ok = (
+            np.isfinite(probs).all(axis=1)
+            & (probs >= 0.0).all(axis=1)
+            & (np.abs(probs.sum(axis=1) - 1.0) <= PROB_SUM_TOL)
+        )
+        if not ok.all():
+            cls(probs[int(ok.argmin())])
+        probs.setflags(write=False)
+        out = []
+        for row in probs:
+            dist = object.__new__(cls)
+            object.__setattr__(dist, "probs", row)
+            out.append(dist)
+        return out
+
 
 @dataclass(frozen=True)
 class CountVector:

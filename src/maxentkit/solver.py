@@ -3,7 +3,9 @@
 :func:`fit_linear_systems` is the fit path.  Each raw system runs the
 zero-moment exclusion cascade, so boundary moments (targets of exactly
 zero or one) shrink the working space instead of diverging the
-multipliers, and is then canonicalized.  A saturated system is read off
+multipliers, and is then canonicalized; systems that exclude nothing
+are canonicalized together, one lockstep replay of the eliminations
+per row count and elimination length.  A saturated system is read off
 directly; the others are grouped by working shape and each group is
 solved by one undamped Newton iteration over the stack, from the
 uniform distribution.  Each step multiplies the iterate by
@@ -38,6 +40,7 @@ from .constraints import (
     CoefficientMatrix,
     KernelBasis,
     SupportReduction,
+    _architectures,
     reduce_binary_support,
     to_architecture,
 )
@@ -367,34 +370,71 @@ class FitResult:
         return self.n_states - self.rank_effective
 
 
-def _working_system(
+def _working_systems(
+    systems: Sequence[CoefficientMatrix],
+) -> list[Union[tuple[CoefficientMatrix, ArchitectureMatrix, np.ndarray], SolverError]]:
+    """Per system, the reduced system on its working space, its
+    canonical form and the mask of excluded states; or the
+    :class:`SolverError` that stopped it.
+
+    Systems are stacked per :attr:`~maxentkit.constraints._RowForm.replay_key`.
+    A stack's non-binary systems, and its binary ones whose moments lie
+    inside the support, exclude nothing and are canonicalized together
+    by one lockstep replay; the other binary systems run the exclusion
+    cascade one at a time, in order.
+    """
+    out: list = [None] * len(systems)
+    stacks: dict[tuple[int, int], list[int]] = defaultdict(list)
+    for i, system in enumerate(systems):
+        stacks[system._form.replay_key].append(i)
+    boundary = []
+    for members in stacks.values():
+        forms = [systems[i]._form for i in members]
+        moments = np.array([systems[i].moments for i in members])
+        direct = ~np.array([form.is_binary for form in forms]) | _inside_binary_support(
+            np.array([form.full_support for form in forms]), moments
+        )
+        boundary.extend(members[k] for k in np.flatnonzero(~direct))
+        keep = np.flatnonzero(direct)
+        if not keep.size:
+            continue
+        for k, architecture in zip(keep, _architectures([forms[k] for k in keep], moments[keep])):
+            i = members[k]
+            if not isinstance(architecture, SolverError):
+                architecture = (systems[i], architecture, np.zeros(systems[i].n_states, dtype=bool))
+            out[i] = architecture
+    for i in sorted(boundary):
+        try:
+            out[i] = _reduced_system(systems[i])
+        except SolverError as exc:
+            out[i] = exc
+    return out
+
+
+def _reduced_system(
     system: CoefficientMatrix,
 ) -> tuple[CoefficientMatrix, ArchitectureMatrix, np.ndarray]:
-    """The reduced system on the working space, its canonical form, and
-    the mask of excluded states."""
-    excluded = np.zeros(system.n_states, dtype=bool)
-    reduced = system
-    if system.is_binary and not _inside_binary_support(system):
-        reduction = reduce_binary_support(system.rows, system.moments)
-        # With no state excluded every row survives: the system is its
-        # own reduction.
-        if reduction.n_excluded:
-            excluded = reduction.excluded
-            reduced = CoefficientMatrix(reduction.rows, reduction.moments)
-    return reduced, to_architecture(reduced), excluded
+    """The exclusion cascade and canonical form of one binary system."""
+    reduction = reduce_binary_support(system.rows, system.moments)
+    # With no state excluded every row survives: the system is its own
+    # reduction.
+    if not reduction.n_excluded:
+        return system, to_architecture(system), reduction.excluded
+    reduced = CoefficientMatrix(reduction.rows, reduction.moments)
+    return reduced, to_architecture(reduced), reduction.excluded
 
 
-def _inside_binary_support(system: CoefficientMatrix) -> bool:
-    """Whether the exclusion cascade provably excludes nothing and
-    raises nothing: every partial-support row has its moment strictly
-    inside ``(ztol, 1 - ztol)`` and every full-support row within
-    ``ztol`` of one (see :func:`reduce_binary_support`)."""
-    m = system.moments
-    return bool(np.all(np.where(
-        system.rows.all(axis=1),
-        np.abs(m - 1.0) <= MOMENT_ZERO_TOL,
-        (m > MOMENT_ZERO_TOL) & (m < 1.0 - MOMENT_ZERO_TOL),
-    )))
+def _inside_binary_support(full_support: np.ndarray, moments: np.ndarray) -> np.ndarray:
+    """Per stacked binary system, whether the exclusion cascade provably
+    excludes nothing and raises nothing: every partial-support row has
+    its moment strictly inside ``(ztol, 1 - ztol)`` and every
+    full-support row within ``ztol`` of one (see
+    :func:`reduce_binary_support`)."""
+    return np.where(
+        full_support,
+        np.abs(moments - 1.0) <= MOMENT_ZERO_TOL,
+        (moments > MOMENT_ZERO_TOL) & (moments < 1.0 - MOMENT_ZERO_TOL),
+    ).all(axis=1)
 
 
 def _saturated_solution(architecture: ArchitectureMatrix) -> MaxEntSolution:
@@ -419,14 +459,18 @@ def _fit_result(
     excluded: np.ndarray,
     solution: MaxEntSolution,
 ) -> FitResult:
-    probabilities = np.zeros(system.n_states)
-    probabilities[~excluded] = solution.distribution.probs
+    probabilities = solution.distribution.probs
+    n_excluded = int(excluded.sum())
+    if n_excluded:
+        probabilities = np.zeros(system.n_states)
+        probabilities[~excluded] = solution.distribution.probs
+        probabilities.setflags(write=False)
     return FitResult(
         solution=solution,
         architecture=architecture,
         excluded=excluded,
         n_states=system.n_states,
-        rank_effective=architecture.rank + int(excluded.sum()),
+        rank_effective=architecture.rank + n_excluded,
         probabilities=probabilities,
     )
 
@@ -437,10 +481,12 @@ def fit_linear_systems(
 ) -> list[Union[FitResult, SolverError]]:
     """Canonicalize, reduce, and solve many raw constraint systems.
 
-    Each system runs the exclusion cascade and is canonicalized on its
-    working space; a saturated one is read off directly.  The others are
-    grouped by ``(rank, working states)`` and each group is solved by one
-    undamped batched Newton iteration from uniform, whose multipliers are
+    Each system runs the exclusion cascade, unless its moments provably
+    exclude nothing, and is canonicalized on its working space, systems
+    of one row count and elimination length by one lockstep replay; a
+    saturated one is read off directly.  The others are grouped by
+    ``(rank, working states)`` and each group is solved by one undamped
+    batched Newton iteration from uniform, whose multipliers are
     recovered by least squares of ``log p`` on the architecture rows.
     Systems the batch flags are refitted by :func:`solve_newton`.  Every
     system's fit depends on that system alone, not on its group.
@@ -452,21 +498,24 @@ def fit_linear_systems(
     max_iter = min(opts.max_iterations or BATCH_ITERATIONS, BATCH_ITERATIONS)
     results: list[Union[FitResult, SolverError, None]] = [None] * len(systems)
     groups: dict[tuple[int, int], list] = defaultdict(list)
-    for i, system in enumerate(systems):
+    for i, (system, work) in enumerate(zip(systems, _working_systems(systems))):
+        if isinstance(work, SolverError):
+            results[i] = work
+            continue
+        _, architecture, excluded = work
+        if architecture.rank < architecture.n_states:
+            groups[architecture.rows.shape].append((i, architecture, excluded))
+            continue
         try:
-            _, architecture, excluded = _working_system(system)
-            if architecture.rank == architecture.n_states:
-                solution = _saturated_solution(architecture)
-                results[i] = _fit_result(system, architecture, excluded, solution)
-                continue
+            solution = _saturated_solution(architecture)
         except SolverError as exc:
             results[i] = exc
             continue
-        groups[architecture.rows.shape].append((i, architecture, excluded))
+        results[i] = _fit_result(system, architecture, excluded, solution)
 
     for members in groups.values():
-        rows = np.stack([architecture.rows for _, architecture, _ in members])
-        targets = np.stack([architecture.moments for _, architecture, _ in members])
+        rows = np.array([architecture.rows for _, architecture, _ in members])
+        targets = np.array([architecture.moments for _, architecture, _ in members])
         n_working = rows.shape[2]
         p, residuals, converged, iterations = _newton_iterate(
             rows, targets, np.full((len(members), n_working), 1.0 / n_working),
@@ -482,10 +531,11 @@ def fit_linear_systems(
                 rows[finite] @ rows[finite].transpose(0, 2, 1),
                 rows[finite] @ np.log(p[finite])[:, :, None],
             )[:, :, 0]
+        distributions = iter(Distribution.stack(p[converged]))
         for k, (i, architecture, excluded) in enumerate(members):
             if converged[k]:
                 solution = MaxEntSolution(
-                    distribution=Distribution(p[k]),
+                    distribution=next(distributions),
                     multipliers=theta[k] if has_theta[k] else None,
                     iterations=int(iterations[k]),
                     residual=float(residuals[k]),
@@ -525,7 +575,10 @@ def fit_linear_system(
         if isinstance(fit, SolverError):
             raise fit
         return fit
-    reduced, architecture, excluded = _working_system(system)
+    (work,) = _working_systems([system])
+    if isinstance(work, SolverError):
+        raise work
+    reduced, architecture, excluded = work
     if architecture.rank == architecture.n_states:
         solution = _saturated_solution(architecture)
     else:

@@ -1,4 +1,5 @@
 import json
+import logging
 import subprocess
 import sys
 
@@ -376,6 +377,35 @@ class TestSelect:
         with caplog.at_level("WARNING"):
             assert main(["select", str(candidate_dir), counts]) == 0
         assert "absent" in caplog.text
+
+
+class TestLogLevel:
+    @pytest.fixture
+    def package_level(self):
+        logger = logging.getLogger("maxentkit")
+        level = logger.level
+        yield
+        logger.setLevel(level)
+
+    def test_error_level_silences_candidate_drop(self, tmp_path, capsys, caplog, package_level):
+        cand_dir = tmp_path / "cands"
+        cand_dir.mkdir()
+        write_json(cand_dir / "norm.json", {"rows": [[1, 1, 1]]})
+        # Fails to solve on these counts; see test_no_solvable_candidate_exit_4.
+        write_json(cand_dir / "steep.json", {"rows": [[1, 1, 1], [0, 1, 1000]]})
+        counts = write(
+            tmp_path / "counts.csv", "microstate_label,count\ns0,7\ns1,0\ns2,0\n"
+        )
+        with caplog.at_level("WARNING"):
+            assert main(["select", str(cand_dir), counts]) == 0
+        assert "candidate steep failed to solve" in caplog.text
+        default = capsys.readouterr().out
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            assert main(["--log-level", "ERROR", "select", str(cand_dir), counts]) == 0
+        assert caplog.text == ""
+        assert capsys.readouterr().out == default
+        assert json.loads(default)["failed"] == ["steep"]
 
 
 class TestBench:

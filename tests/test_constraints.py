@@ -12,6 +12,7 @@ from maxentkit.constraints import (
     KernelBasis,
     NestingMap,
     induced_moments,
+    is_nested,
     kernel_basis,
     nesting_map,
     reduce_binary_support,
@@ -24,7 +25,7 @@ from maxentkit.errors import (
     RankDeficiencyError,
 )
 from maxentkit.simplex import Distribution
-from maxentkit.solver import fit_linear_system
+from maxentkit.solver import fit_linear_system, fit_linear_systems
 
 
 def marginal_2x2():
@@ -233,6 +234,59 @@ class TestCachedElimination:
             to_architecture(system).with_moments(np.array(moments))
 
 
+class TestLockstepReplay:
+    ROWS = TestCachedElimination.ROWS
+    # Pivots on its own first row, where ROWS swaps rows 0 and 2.
+    NO_SWAP_ROWS = ROWS[[2, 1, 0, 3, 4]]
+
+    def test_stack_matches_reference_and_each_system_alone(self, rng):
+        systems = [
+            CoefficientMatrix(rows, rows @ rng.dirichlet(np.ones(6)))
+            for rows in (self.ROWS, self.NO_SWAP_ROWS, self.ROWS, self.ROWS, self.NO_SWAP_ROWS)
+        ]
+        moments = np.array(systems[2].moments)
+        moments[3] += 0.1
+        systems[2] = systems[2].with_moments(moments)
+        forms = [system._form for system in systems]
+        assert len({form.replay_key for form in forms}) == 1
+        assert forms[0].elimination.order[0] != forms[1].elimination.order[0]
+
+        stacked = constraints._architectures(forms, np.stack([s.moments for s in systems]))
+        assert [isinstance(a, InconsistentSystemError) for a in stacked] == [
+            False, False, True, False, False,
+        ]
+        for system, arch in zip(systems, stacked):
+            if isinstance(arch, InconsistentSystemError):
+                with pytest.raises(InconsistentSystemError) as alone:
+                    to_architecture(system)
+                assert str(alone.value) == str(arch)
+                continue
+            rows, canonical, _ = augmented_rref(system.rows, system.moments)
+            for each in (arch, to_architecture(system)):
+                assert np.array_equal(each.rows, rows)
+                assert np.array_equal(each.moments, canonical)
+
+    def test_fits_of_mixed_row_counts_match_reference(self, rng):
+        systems = [
+            CoefficientMatrix(self.ROWS, self.ROWS @ rng.dirichlet(np.ones(6))),
+            marginal_2x2(),
+            CoefficientMatrix(self.NO_SWAP_ROWS, self.NO_SWAP_ROWS @ rng.dirichlet(np.ones(6))),
+            # A sample that leaves states 2 and 3 empty excludes them.
+            CoefficientMatrix(marginal_2x2().rows, np.array([1.0, 0.0, 0.7])),
+            marginal_2x2().with_moments(np.array([1.0, 0.25, 0.5])),
+        ]
+        fits = fit_linear_systems(systems)
+        assert fits[3].excluded.tolist() == [False, False, True, True]
+        for system, fit in zip(systems, fits):
+            rows, moments = system.rows, system.moments
+            if fit.excluded.any():
+                reduction = reduce_binary_support(rows, moments)
+                rows, moments = reduction.rows, reduction.moments
+            reference_rows, canonical, _ = augmented_rref(rows, moments)
+            assert np.array_equal(fit.architecture.rows, reference_rows)
+            assert np.array_equal(fit.architecture.moments, canonical)
+
+
 class TestArchitectureMatrix:
     def test_rejects_non_rref(self):
         rows = np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 0.0]])
@@ -323,6 +377,24 @@ class TestNestingMap:
         )
         complex_ = to_architecture(marginal_2x2())
         assert nesting_map(simple, complex_) is None
+
+    def test_is_nested_keeps_rows_test_not_moments(self):
+        simple = to_architecture(marginal_2x2())
+        rows = np.vstack([marginal_2x2().rows, [[0.0, 0.0, 0.0, 1.0]]])
+        complex_ = to_architecture(CoefficientMatrix(rows, [1.0, 0.4, 0.7, 0.28]))
+        unrelated = to_architecture(CoefficientMatrix(
+            np.array([[1.0, 1.0, 1.0, 1.0], [0.0, 1.0, 1.0, 0.0]]), np.array([1.0, 0.5]),
+        ))
+        for _ in range(2):
+            for a, b in [(simple, complex_), (complex_, simple), (unrelated, complex_)]:
+                assert is_nested(a, b) == (nesting_map(a, b) is not None)
+        assert is_nested(simple, complex_)
+        # The same rows with other moments share the kept rows test, and
+        # their moments are still tested.
+        moved = simple.with_moments(np.array([0.25, 0.35, 0.4]))
+        assert moved._form is simple._form
+        assert not is_nested(moved, complex_)
+        assert is_nested(moved, complex_.with_moments(np.array([0.25, 0.35, 0.4, 0.0])))
 
     def test_map_requires_full_rank(self):
         with pytest.raises(RankDeficiencyError):

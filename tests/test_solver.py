@@ -467,3 +467,79 @@ class TestFitLinearSystems:
         assert isinstance(fit, ConvergenceError)
         with pytest.raises(ConvergenceError):
             fit_linear_system(marginal_2x2(), options)
+
+
+# Column 0 pivots on row 2, so the first step swaps; row 3 is row 0 +
+# row 2, so one row is eliminated to zero.  The second ordering pivots
+# on its own first row: a stack of both swaps on some systems only.
+SWAP_ROWS = np.array([
+    [0, 1, 0, 1, 2, 0],
+    [1, 1, 1, 1, 1, 1],
+    [2, 0, 1, 0, 1, 1],
+    [2, 1, 1, 1, 3, 1],
+    [-1, 0, 1, 0, -1, 2],
+], dtype=float)
+NO_SWAP_ROWS = SWAP_ROWS[[2, 1, 0, 3, 4]]
+
+
+def row_form_groups(rng):
+    """Systems that share row forms and elimination lengths: two
+    orderings of one non-binary matrix with a redundant row, one system
+    of them inconsistent; binary systems of several row counts; and a
+    sample that excludes states."""
+    def on(rows):
+        return CoefficientMatrix(rows, rows @ rng.dirichlet(np.ones(rows.shape[1])))
+
+    inconsistent = on(SWAP_ROWS)
+    moments = np.array(inconsistent.moments)
+    moments[3] += 0.1
+    return [
+        on(SWAP_ROWS),
+        random_system(rng, n_states=8, extra_rows=3),
+        on(NO_SWAP_ROWS),
+        inconsistent.with_moments(moments),
+        random_system(rng, n_states=8, extra_rows=4),
+        marginal_2x2(0.0, 0.7),
+        on(SWAP_ROWS),
+        random_system(rng, n_states=6, extra_rows=2),
+        random_system(rng, n_states=8, extra_rows=3),
+        on(NO_SWAP_ROWS),
+    ]
+
+
+class TestRowFormGroups:
+    def test_each_fit_and_error_equals_its_own_call(self, rng):
+        systems = row_form_groups(rng)
+        batch = fit_linear_systems(systems)
+        assert [type(fit).__name__ for fit in batch].count("InconsistentSystemError") == 1
+        assert batch[5].excluded.any()
+        for system, fit in zip(systems, batch):
+            if isinstance(fit, SolverError):
+                with pytest.raises(type(fit)) as alone:
+                    fit_linear_system(system)
+                assert str(alone.value) == str(fit)
+                continue
+            alone = fit_linear_system(system)
+            assert np.array_equal(alone.architecture.rows, fit.architecture.rows)
+            assert np.array_equal(alone.architecture.moments, fit.architecture.moments)
+            assert np.array_equal(alone.probabilities, fit.probabilities)
+            assert np.array_equal(alone.excluded, fit.excluded)
+            assert alone.solution.residual == fit.solution.residual
+            assert alone.solution.iterations == fit.solution.iterations
+            assert alone.rank_effective == fit.rank_effective
+            assert np.array_equal(alone.solution.multipliers, fit.solution.multipliers)
+
+    @pytest.mark.parametrize("bad, message", [(-1e-3, "negative"), (np.nan, "non-finite")])
+    def test_invalid_converged_row_raises(self, rng, monkeypatch, bad, message):
+        import maxentkit.solver as solver
+
+        iterate = solver._newton_iterate
+
+        def poisoned(rows, targets, p, *limits):
+            p, residuals, converged, steps = iterate(rows, targets, p, *limits)
+            p[np.flatnonzero(converged)[-1], 0] = bad
+            return p, residuals, converged, steps
+
+        monkeypatch.setattr(solver, "_newton_iterate", poisoned)
+        with pytest.raises(InputError, match=message):
+            fit_linear_systems(row_form_groups(rng))
