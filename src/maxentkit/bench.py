@@ -22,11 +22,12 @@ increasing rank; the parent's fit, restricted to the child's working
 states and renormalised, is a valid start (its log lies in the child's
 row space).  A model whose parent is not fitted yet starts from
 uniform.  Warm-started systems the batch flags (singular, runaway, or
-unconverged) are restarted once from uniform inside the batch; those
-still flagged, and the models whose working space is fully pinned, are
-refitted together by :func:`~maxentkit.solver.fit_linear_systems`, and
-a model that still fails is dropped from that sample's candidate set
-with a warning.
+unconverged) are restarted once from uniform, and those still flagged
+get the damped pass (see :func:`~maxentkit.solver._newton_passes`);
+systems that pass cannot fit, and the models whose working space is
+fully pinned, are refitted together by
+:func:`~maxentkit.solver.fit_linear_systems`, and a model that still
+fails is dropped from that sample's candidate set with a warning.
 
 Every task (realization, sample size, sample index) reseeds its own
 generator from the configured seed, so reports are reproducible
@@ -59,7 +60,7 @@ from .ising import (
 )
 from .selection import METHODS, SelectionConfig, alpha_empirical, score_arrays, select_arrays
 from .simplex import entropy
-from .solver import _newton_batch, fit_linear_systems
+from .solver import _newton_passes, fit_linear_systems
 
 __all__ = [
     "BenchmarkConfig",
@@ -401,7 +402,7 @@ def _fit_pattern(
 
     for midx, rmat in groups:
         rows = ctx.zeta[rmat][:, :, working]
-        batch_p, _, done = _newton_batch(
+        batch_p, _, done, _, _ = _newton_passes(
             rows, m_frac[rmat], start=_seeds(ctx, midx, working, probs, valid)
         )
         done_idx = midx[done]

@@ -59,7 +59,6 @@ from .solver import (
     SolveOptions,
     fit_linear_system,
     fit_linear_systems,
-    solve_newton,
 )
 
 __all__ = [
@@ -163,20 +162,12 @@ def _fit_for_f(
     """Fit a candidate on the moments induced by ``f``.
 
     Returns the full-space probabilities, their entropy, the effective
-    rank, and the full state count.  Coefficient systems go through
-    support reduction; canonical architectures are solved directly.
+    rank, and the full state count.  Both kinds of candidate go through
+    :func:`fit_linear_system`; an architecture is its own canonical
+    form.
     """
     probs = prob_array(f)
-    if isinstance(candidate, CoefficientMatrix):
-        induced = candidate.with_moments(candidate.rows @ probs)
-        return _fit_summary(fit_linear_system(induced, options))
-    induced_arch = candidate.with_moments(candidate.rows @ probs)
-    if induced_arch.rank == induced_arch.n_states:
-        # Saturated: the class is the single point f.
-        return np.array(probs), entropy(probs), induced_arch.rank, induced_arch.n_states
-    solution = solve_newton(induced_arch, options)
-    p = solution.distribution.probs
-    return p, entropy(p), induced_arch.rank, induced_arch.n_states
+    return _fit_summary(fit_linear_system(candidate.with_moments(candidate.rows @ probs), options))
 
 
 def _fit_summary(fit: FitResult) -> tuple[np.ndarray, float, int, int]:
@@ -414,7 +405,7 @@ def score_candidates(
 
     Returns a list aligned with ``candidates`` (``None`` where the solve
     failed; failures are logged, not raised) and the empirical entropy
-    of ``f``.  Coefficient systems are fitted together through
+    of ``f``.  All candidates are fitted together through
     :func:`fit_linear_systems`.
     """
     if ids is None:
@@ -440,29 +431,19 @@ def _score_and_fit(
         raise InputError("need at least one candidate")
     probs = prob_array(f)
     h_f = entropy(probs)
-    batch = fit_linear_systems(
-        [c.with_moments(c.rows @ probs) for c in candidates if isinstance(c, CoefficientMatrix)],
-        options,
-    )
+    batch = fit_linear_systems([c.with_moments(c.rows @ probs) for c in candidates], options)
     # The fits' entropies in one pass over their stacked probabilities;
     # each row's sum has the bits of entropy() on that row alone.
     solved = [fit.probabilities for fit in batch if isinstance(fit, FitResult)]
     stack = np.reshape(solved, (len(solved), probs.size))
     entropies = iter(-xlogy(stack, stack).sum(axis=1))
-    batch = iter(batch)
     summaries = []
-    for cid, cand in zip(ids, candidates):
-        fit = next(batch) if isinstance(cand, CoefficientMatrix) else None
-        try:
-            if isinstance(fit, SolverError):
-                raise fit
-            if fit is None:
-                summary = _fit_for_f(cand, probs, options)[1:]
-            else:
-                summary = (float(next(entropies)), fit.rank_effective, fit.n_states)
-        except SolverError as exc:
-            log.warning("candidate %s failed to solve: %s", cid, exc)
+    for cid, fit in zip(ids, batch):
+        if isinstance(fit, SolverError):
+            log.warning("candidate %s failed to solve: %s", cid, fit)
             summary = (math.nan, 0, 0)  # NaN marks the failure
+        else:
+            summary = (float(next(entropies)), fit.rank_effective, fit.n_states)
         summaries.append(summary)
     h_hat, rank, n_states = (np.array(column) for column in zip(*summaries))
     _, p_value, bic_score, aic_score, _, deficit = score_arrays(h_hat, h_f, rank, n_states, n)

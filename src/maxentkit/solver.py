@@ -7,16 +7,19 @@ multipliers, and is then canonicalized; systems that exclude nothing
 are canonicalized together, one lockstep replay of the eliminations
 per row count and elimination length.  A saturated system is read off
 directly; the others are grouped by working shape and each group is
-solved by one undamped Newton iteration over the stack, from the
-uniform distribution.  Each step multiplies the iterate by
-``exp(-rows^T @ delta)`` where ``delta`` solves the Jacobian system
-``J = rows @ diag(p) @ rows^T``; for a full-row-rank architecture and a
-strictly positive iterate the Jacobian is a Gram matrix and stays
-invertible, and the converged solution is of exponential form: its log
-lies in the row space of the architecture.  Systems the batch flags
-(singular, runaway or unconverged) are refitted by the damped
-:func:`solve_newton`, which raises the typed errors.
-:func:`fit_linear_system` is the one-system call of the same path, so a
+solved over the stack by the one Newton kernel, :func:`_newton_iterate`.
+Each step multiplies the iterate by ``exp(-rows^T @ delta)`` where
+``delta`` solves the Jacobian system ``J = rows @ diag(p) @ rows^T``;
+for a full-row-rank architecture and a strictly positive iterate the
+Jacobian is a Gram matrix and stays invertible, and the converged
+solution is of exponential form: its log lies in the row space of the
+architecture.  :func:`_newton_passes` runs a stack through up to three
+passes of the kernel: undamped; undamped again from uniform for the
+warm-started systems the first pass flags (singular, runaway or
+unconverged); and damped from uniform for the systems still flagged,
+each with its own step size and its own typed error.
+:func:`solve_newton` is the damped pass on a stack of one, and
+:func:`fit_linear_system` the one-system call of the fit path, so a
 system gets the same fit alone as inside a batch.
 
 :func:`solve_ipf` reaches the same distribution by multiplicative
@@ -27,7 +30,6 @@ cross-check.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from collections import defaultdict
 from typing import Optional, Sequence, Union
@@ -39,8 +41,9 @@ from .constraints import (
     ArchitectureMatrix,
     CoefficientMatrix,
     KernelBasis,
-    SupportReduction,
     _architectures,
+    _derive,
+    _RowForm,
     reduce_binary_support,
     to_architecture,
 )
@@ -69,26 +72,25 @@ __all__ = [
 #: Newton iteration cap when ``max_iterations`` is left unset.
 NEWTON_DEFAULT_ITERATIONS = 500
 
-#: Iteration cap of the undamped batch before a system falls back to
-#: :func:`solve_newton`.
+#: Iteration cap of the undamped passes before a system is flagged.
 BATCH_ITERATIONS = 200
 
-#: Largest exponent a batch step may apply before the system is flagged
-#: as runaway.
+#: Largest exponent an undamped step may apply before the system is
+#: flagged as runaway.
 _BATCH_OVERFLOW = 200.0
 
 #: Single-constraint update cap for proportional fitting when unset.
 IPF_DEFAULT_UPDATES = 50_000
 
-#: Exponent magnitude beyond which a Newton step is considered runaway.
+#: Exponent magnitude beyond which a damped step is halved.
 _EXP_OVERFLOW = 700.0
+
+#: How often the damped pass halves a system's step before the system
+#: is declared stalled.
+DAMPING_HALVINGS = 30
 
 #: Multiplier magnitude that signals diverging (infeasible) moments.
 _THETA_DIVERGED = 1e3
-
-#: Total-mass drift below which exact renormalization is a no-op for the
-#: reported residual.
-_SUM_SNAP_TOL = 1e-13
 
 
 def _snap_normalization(
@@ -111,23 +113,21 @@ def _snap_normalization(
 class SolveOptions:
     """Shared solver settings.
 
-    ``max_iterations`` counts Newton steps for :func:`solve_newton` and
-    single-constraint updates for :func:`solve_ipf`; ``None`` picks the
-    per-solver default.  ``damping_halvings`` bounds how often a Newton
-    step is halved before the solve is declared stalled.
+    ``max_iterations`` caps the Newton steps of each pass: of the damped
+    pass (and so :func:`solve_newton`), :data:`NEWTON_DEFAULT_ITERATIONS`
+    when unset; of each undamped pass, never more than
+    :data:`BATCH_ITERATIONS`.  For :func:`solve_ipf` it caps the
+    single-constraint updates, :data:`IPF_DEFAULT_UPDATES` when unset.
     """
 
     tolerance: float = 1e-10
     max_iterations: Optional[int] = None
-    damping_halvings: int = 30
 
     def __post_init__(self) -> None:
         if self.tolerance <= 0.0:
             raise InputError("tolerance must be positive")
         if self.max_iterations is not None and self.max_iterations < 1:
             raise InputError("max_iterations must be at least 1")
-        if self.damping_halvings < 0:
-            raise InputError("damping_halvings must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -153,23 +153,26 @@ class MaxEntSolution:
             object.__setattr__(self, "multipliers", mult)
 
 
+def _multipliers(row_stack: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Per system, the least-squares multipliers of ``log p`` on its
+    rows; ``p`` must be strictly positive."""
+    return np.linalg.solve(
+        row_stack @ row_stack.transpose(0, 2, 1), row_stack @ np.log(p)[:, :, None]
+    )[:, :, 0]
+
+
 def _classify_failure(
-    architecture: ArchitectureMatrix,
-    p: np.ndarray,
-    theta: np.ndarray,
-    diff: np.ndarray,
-    residual: float,
-    iterations: int,
-) -> Exception:
+    rows: np.ndarray, targets: np.ndarray, p: np.ndarray, diff: np.ndarray, iterations: int
+) -> SolverError:
+    """The typed error of one system the damped pass stopped at the
+    iterate ``p``, whose moment residuals are ``diff``."""
     worst = int(np.argmax(np.abs(diff)))
     detail = (
-        f"residual {residual:.3e} after {iterations} iterations; worst "
-        f"constraint {worst} (target {architecture.moments[worst]:.6g})"
+        f"residual {abs(diff[worst]):.3e} after {iterations} iterations; worst "
+        f"constraint {worst} (target {targets[worst]:.6g})"
     )
-    if float(np.max(np.abs(theta))) > _THETA_DIVERGED or float(p.min()) < 1e-13:
-        return InfeasibleMomentsError(
-            "moments appear infeasible (multipliers diverge): " + detail
-        )
+    if p.min() < 1e-13 or np.abs(_multipliers(rows[None], p[None])).max() > _THETA_DIVERGED:
+        return InfeasibleMomentsError("moments appear infeasible (multipliers diverge): " + detail)
     return ConvergenceError("no convergence: " + detail)
 
 
@@ -178,6 +181,9 @@ def solve_newton(
     options: Optional[SolveOptions] = None,
 ) -> MaxEntSolution:
     """Maximum-entropy distribution of an architecture by damped Newton.
+
+    This is the damped pass of the Newton kernel (see
+    :func:`_newton_passes`) on a stack of one, from uniform.
 
     Parameters
     ----------
@@ -203,74 +209,12 @@ def solve_newton(
     ConvergenceError
         If the iteration budget runs out without either of the above.
     """
-    opts = options or SolveOptions()
-    max_iter = opts.max_iterations or NEWTON_DEFAULT_ITERATIONS
-    rows = architecture.rows
-    targets = architecture.moments
-    n_rows, n_states = rows.shape
-
-    p = np.full(n_states, 1.0 / n_states)
-    col_sums = rows.sum(axis=0)
-    if np.allclose(col_sums, 1.0, atol=1e-9):
-        # log(uniform) = -log(n) * ones = rows^T @ theta with theta constant.
-        theta = np.full(n_rows, -math.log(n_states))
-    else:
-        theta, *_ = np.linalg.lstsq(rows.T, np.full(n_states, -math.log(n_states)), rcond=None)
-
-    moments = rows @ p
-    diff = moments - targets
-    residual = float(np.max(np.abs(diff)))
-    iterations = 0
-
-    # Iterate past bare tolerance until the total mass is tight enough to
-    # snap to exactly one without disturbing the other moments; quadratic
-    # convergence makes the extra step essentially free.
-    while residual > opts.tolerance or abs(float(p.sum()) - 1.0) > _SUM_SNAP_TOL:
-        if iterations >= max_iter:
-            if residual <= opts.tolerance:
-                break
-            raise _classify_failure(architecture, p, theta, diff, residual, iterations)
-        jacobian = (rows * p) @ rows.T
-        try:
-            delta = np.linalg.solve(jacobian, diff)
-        except np.linalg.LinAlgError:
-            raise SingularJacobianError(
-                f"Jacobian singular at iteration {iterations}"
-            ) from None
-
-        step = 1.0
-        accepted = False
-        for _ in range(opts.damping_halvings + 1):
-            shift = rows.T @ (step * delta)
-            if float(np.max(np.abs(shift))) > _EXP_OVERFLOW:
-                step *= 0.5
-                continue
-            p_new = p * np.exp(-shift)
-            if not np.all(np.isfinite(p_new)) or float(p_new.min()) <= 0.0:
-                step *= 0.5
-                continue
-            moments_new = rows @ p_new
-            diff_new = moments_new - targets
-            residual_new = float(np.max(np.abs(diff_new)))
-            if residual_new < residual:
-                p, diff, residual = p_new, diff_new, residual_new
-                theta = theta - step * delta
-                accepted = True
-                break
-            step *= 0.5
-        iterations += 1
-        if not accepted:
-            if residual <= opts.tolerance:
-                break
-            raise _classify_failure(architecture, p, theta, diff, residual, iterations)
-
-    p, residual = _snap_normalization(p, rows, targets, residual)
-    return MaxEntSolution(
-        distribution=Distribution(p),
-        multipliers=theta,
-        iterations=iterations,
-        residual=residual,
-    )
+    rows = architecture.rows[None]
+    *fit, errors = _damped_pass(rows, architecture.moments[None], options or SolveOptions())
+    if errors:
+        raise errors[0]
+    (solution,) = _solutions(rows, *fit)
+    return solution
 
 
 def solve_ipf(
@@ -371,7 +315,7 @@ class FitResult:
 
 
 def _working_systems(
-    systems: Sequence[CoefficientMatrix],
+    systems: Sequence[Union[CoefficientMatrix, ArchitectureMatrix]],
 ) -> list[Union[tuple[CoefficientMatrix, ArchitectureMatrix, np.ndarray], SolverError]]:
     """Per system, the reduced system on its working space, its
     canonical form and the mask of excluded states; or the
@@ -412,7 +356,7 @@ def _working_systems(
 
 
 def _reduced_system(
-    system: CoefficientMatrix,
+    system: Union[CoefficientMatrix, ArchitectureMatrix],
 ) -> tuple[CoefficientMatrix, ArchitectureMatrix, np.ndarray]:
     """The exclusion cascade and canonical form of one binary system."""
     reduction = reduce_binary_support(system.rows, system.moments)
@@ -420,7 +364,11 @@ def _reduced_system(
     # reduction.
     if not reduction.n_excluded:
         return system, to_architecture(system), reduction.excluded
-    reduced = CoefficientMatrix(reduction.rows, reduction.moments)
+    # Reduced from an architecture, the rows need not keep an all-ones
+    # row, which the CoefficientMatrix constructor asks for.
+    reduction.rows.setflags(write=False)
+    reduction.moments.setflags(write=False)
+    reduced = _derive(CoefficientMatrix, _RowForm(reduction.rows), reduction.moments)
     return reduced, to_architecture(reduced), reduction.excluded
 
 
@@ -454,7 +402,7 @@ def _saturated_solution(architecture: ArchitectureMatrix) -> MaxEntSolution:
 
 
 def _fit_result(
-    system: CoefficientMatrix,
+    system: Union[CoefficientMatrix, ArchitectureMatrix],
     architecture: ArchitectureMatrix,
     excluded: np.ndarray,
     solution: MaxEntSolution,
@@ -476,7 +424,7 @@ def _fit_result(
 
 
 def fit_linear_systems(
-    systems: Sequence[CoefficientMatrix],
+    systems: Sequence[Union[CoefficientMatrix, ArchitectureMatrix]],
     options: Optional[SolveOptions] = None,
 ) -> list[Union[FitResult, SolverError]]:
     """Canonicalize, reduce, and solve many raw constraint systems.
@@ -485,17 +433,15 @@ def fit_linear_systems(
     exclude nothing, and is canonicalized on its working space, systems
     of one row count and elimination length by one lockstep replay; a
     saturated one is read off directly.  The others are grouped by
-    ``(rank, working states)`` and each group is solved by one undamped
-    batched Newton iteration from uniform, whose multipliers are
-    recovered by least squares of ``log p`` on the architecture rows.
-    Systems the batch flags are refitted by :func:`solve_newton`.  Every
-    system's fit depends on that system alone, not on its group.
+    ``(rank, working states)`` and each group runs through the passes
+    of :func:`_newton_passes` from uniform.  An architecture is its own
+    canonical form, so it may be passed as well.  Every system's fit
+    depends on that system alone, not on its group.
 
     Returns one entry per system, in order: its :class:`FitResult`, or
     the :class:`SolverError` that stopped it.  Input errors raise.
     """
     opts = options or SolveOptions()
-    max_iter = min(opts.max_iterations or BATCH_ITERATIONS, BATCH_ITERATIONS)
     results: list[Union[FitResult, SolverError, None]] = [None] * len(systems)
     groups: dict[tuple[int, int], list] = defaultdict(list)
     for i, (system, work) in enumerate(zip(systems, _working_systems(systems))):
@@ -516,42 +462,17 @@ def fit_linear_systems(
     for members in groups.values():
         rows = np.array([architecture.rows for _, architecture, _ in members])
         targets = np.array([architecture.moments for _, architecture, _ in members])
-        n_working = rows.shape[2]
-        p, residuals, converged, iterations = _newton_iterate(
-            rows, targets, np.full((len(members), n_working), 1.0 / n_working),
-            opts.tolerance, max_iter, _BATCH_OVERFLOW,
-        )
-        # A state whose probability underflowed to zero has no finite
-        # multipliers; such a fit reports none.
-        has_theta = converged & (p > 0.0).all(axis=1)
-        finite = np.flatnonzero(has_theta)
-        theta = np.zeros(rows.shape[:2])
-        if finite.size:
-            theta[finite] = np.linalg.solve(
-                rows[finite] @ rows[finite].transpose(0, 2, 1),
-                rows[finite] @ np.log(p[finite])[:, :, None],
-            )[:, :, 0]
-        distributions = iter(Distribution.stack(p[converged]))
+        *fit, errors = _newton_passes(rows, targets, opts)
+        solutions = _solutions(rows, *fit)
         for k, (i, architecture, excluded) in enumerate(members):
-            if converged[k]:
-                solution = MaxEntSolution(
-                    distribution=next(distributions),
-                    multipliers=theta[k] if has_theta[k] else None,
-                    iterations=int(iterations[k]),
-                    residual=float(residuals[k]),
-                )
-            else:
-                try:
-                    solution = solve_newton(architecture, opts)
-                except SolverError as exc:
-                    results[i] = exc
-                    continue
-            results[i] = _fit_result(systems[i], architecture, excluded, solution)
+            results[i] = errors[k] if k in errors else _fit_result(
+                systems[i], architecture, excluded, solutions[k]
+            )
     return results
 
 
 def fit_linear_system(
-    system: CoefficientMatrix,
+    system: Union[CoefficientMatrix, ArchitectureMatrix],
     options: Optional[SolveOptions] = None,
     method: str = "newton",
 ) -> FitResult:
@@ -564,7 +485,7 @@ def fit_linear_system(
 
     Parameters
     ----------
-    system : CoefficientMatrix
+    system : CoefficientMatrix, or ArchitectureMatrix for ``"newton"``
     options : SolveOptions, optional
     method : {"newton", "ipf"}
     """
@@ -626,59 +547,83 @@ def sample_equivalence_class(
     )
 
 
-def _newton_batch(
+def _solutions(
+    row_stack: np.ndarray, p: np.ndarray, residuals: np.ndarray, converged: np.ndarray,
+    steps: np.ndarray,
+) -> list[Optional[MaxEntSolution]]:
+    """Per system of a Newton stack, its solution if it converged, else
+    ``None``.  Multipliers are the least squares of ``log p`` on the
+    rows; a state whose probability underflowed to zero has no finite
+    multipliers, and such a fit reports none."""
+    has_theta = converged & (p > 0.0).all(axis=1)
+    finite = np.flatnonzero(has_theta)
+    theta = np.zeros(row_stack.shape[:2])
+    if finite.size:
+        theta[finite] = _multipliers(row_stack[finite], p[finite])
+    distributions = iter(Distribution.stack(p[converged]))
+    return [
+        MaxEntSolution(next(distributions), theta[k] if has_theta[k] else None,
+                       int(steps[k]), float(residuals[k])) if converged[k] else None
+        for k in range(len(p))
+    ]
+
+
+def _newton_passes(
     row_stack: np.ndarray,
     target_stack: np.ndarray,
-    *,
+    options: Optional[SolveOptions] = None,
     start: Optional[np.ndarray] = None,
-    tolerance: float = 1e-10,
-    max_iterations: int = BATCH_ITERATIONS,
-    overflow: float = _BATCH_OVERFLOW,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Undamped Newton iteration over a stack of same-rank systems.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, dict[int, SolverError]]:
+    """Fit a stack of full-row-rank systems, rows ``(g, d, a)`` and
+    targets ``(g, d)``, by up to three passes of :func:`_newton_iterate`:
+    undamped from ``start`` (uniform when omitted); undamped from uniform
+    for the systems the first pass flags whose start was not uniform;
+    and damped from uniform for the systems still flagged.
 
-    Vectorized fast path for sweeps that fit thousands of models against
-    one sample.  Systems that converge are frozen; systems that produce a
-    singular Jacobian, a runaway step, or fail to converge within the cap
-    are flagged for the caller to refit through the damped scalar path.
-
-    Parameters
-    ----------
-    row_stack : ndarray, shape (g, d, a)
-        Full-row-rank constraint rows for ``g`` systems.
-    target_stack : ndarray, shape (g, d)
-    start : ndarray, shape (g, a), optional
-        Starting distributions; uniform when omitted.  Every row must be
-        strictly positive and its log must lie in the row space of its
-        system, as the fit of a sub-model's rows does.  Newton steps
-        keep the log in that space, so the solution is still the
-        maximum-entropy one.  Systems started here that the batch flags
-        are restarted once from uniform before being reported.
-
-    Returns
-    -------
-    probabilities : ndarray, shape (g, a)
-        Normalized to unit mass where converged.
-    residuals : ndarray, shape (g,)
-        Max-norm moment residual; at or below ``tolerance`` where
-        converged.
-    converged : ndarray of bool, shape (g,)
+    Each row of ``start`` must be strictly positive with its log in the
+    row space of its system, as the fit of a sub-model's rows is; Newton
+    steps keep the log there, so the solution is still the
+    maximum-entropy one.  Returns the probabilities (normalized where
+    converged), the max-norm residuals, the converged mask, the steps of
+    the pass each converged system converged in, and, by index, the
+    typed error of every system that did not converge.
     """
+    opts = options or SolveOptions()
     n_systems, _, n_states = row_stack.shape
-    limits = (tolerance, max_iterations, overflow)
-    if start is None:
-        p = np.full((n_systems, n_states), 1.0 / n_states)
-        return _newton_iterate(row_stack, target_stack, p, *limits)[:3]
-    p, residuals, converged, _ = _newton_iterate(
-        row_stack, target_stack, np.array(start, dtype=float), *limits
+    uniform = 1.0 / n_states
+    cap = min(opts.max_iterations or BATCH_ITERATIONS, BATCH_ITERATIONS)
+    limits = (opts.tolerance, cap, _BATCH_OVERFLOW)
+    p = np.full((n_systems, n_states), uniform) if start is None else np.array(start, dtype=float)
+    p, residuals, converged, steps = _newton_iterate(row_stack, target_stack, p, *limits)
+    flagged = np.flatnonzero(~converged)
+    if start is not None and flagged.size:
+        retry = flagged[(start[flagged] != uniform).any(axis=1)]
+        if retry.size:
+            p[retry], residuals[retry], converged[retry], steps[retry] = _newton_iterate(
+                row_stack[retry], target_stack[retry],
+                np.full((retry.size, n_states), uniform), *limits,
+            )
+            flagged = np.flatnonzero(~converged)
+    errors: dict[int, SolverError] = {}
+    if flagged.size:
+        (p[flagged], residuals[flagged], converged[flagged], steps[flagged],
+         damped_errors) = _damped_pass(row_stack[flagged], target_stack[flagged], opts)
+        errors = {int(flagged[k]): exc for k, exc in damped_errors.items()}
+    return p, residuals, converged, steps, errors
+
+
+def _damped_pass(
+    row_stack: np.ndarray, target_stack: np.ndarray, opts: SolveOptions
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, dict[int, SolverError]]:
+    """The damped pass of :func:`_newton_passes`, from uniform, with a
+    typed error for each system that does not converge."""
+    n_systems, _, n_states = row_stack.shape
+    cap, errors = opts.max_iterations or NEWTON_DEFAULT_ITERATIONS, {}
+    fit = _newton_iterate(
+        row_stack, target_stack, np.full((n_systems, n_states), 1.0 / n_states),
+        opts.tolerance, cap, _EXP_OVERFLOW, errors,
     )
-    retry = np.flatnonzero(~converged)
-    if retry.size:
-        uniform = np.full((retry.size, n_states), 1.0 / n_states)
-        p[retry], residuals[retry], converged[retry], _ = _newton_iterate(
-            row_stack[retry], target_stack[retry], uniform, *limits
-        )
-    return p, residuals, converged
+    return (*fit, errors)
 
 
 def _newton_iterate(
@@ -688,13 +633,19 @@ def _newton_iterate(
     tolerance: float,
     max_iterations: int,
     overflow: float,
+    errors: Optional[dict[int, SolverError]] = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The iteration of :func:`_newton_batch` from the iterates ``p``,
-    which it updates in place; also returns the number of steps each
-    converged system took.
-
-    A system converges when both the iterate and its normalization meet
+    """The Newton kernel: one pass over a stack of same-shape systems
+    from the iterates ``p``, which it updates in place; also returns the
+    residuals, the converged mask and each converged system's steps.  A
+    system converges when both the iterate and its normalization meet
     the tolerance; it reports the normalization.
+
+    Without ``errors`` the pass is undamped: a system whose Jacobian is
+    singular, whose step applies an exponent beyond ``overflow``, or
+    that reaches ``max_iterations`` is flagged (left unconverged).  With
+    ``errors`` the pass is damped (see :func:`_damped_step`), and each
+    system that stops unconverged gets its typed error there, by index.
     """
     n_systems = row_stack.shape[0]
     residuals = np.full(n_systems, np.inf)
@@ -741,13 +692,24 @@ def _newton_iterate(
                 except np.linalg.LinAlgError:
                     singular[i] = True
             if singular.any():
+                if errors is not None:
+                    for i in active[singular].tolist():
+                        errors[i] = SingularJacobianError(f"Jacobian singular at iteration {it}")
                 keep = ~singular
                 active = active[keep]
-                rows, probs, delta = rows[keep], probs[keep], delta[keep]
+                rows, probs, diff, delta = rows[keep], probs[keep], diff[keep], delta[keep]
                 if active.size == 0:
                     continue
 
         shift = (rows.transpose(0, 2, 1) @ delta[:, :, None])[:, :, 0]
+        if errors is not None:
+            stalled = _damped_step(rows, probs, diff, target_stack[active], shift, overflow)
+            p[active] = probs
+            for k in stalled.tolist():
+                i = int(active[k])
+                errors[i] = _classify_failure(rows[k], target_stack[i], probs[k], diff[k], it + 1)
+            active = np.delete(active, stalled)
+            continue
         runaway = np.max(np.abs(shift), axis=1) > overflow
         if runaway.any():
             keep = ~runaway
@@ -757,6 +719,11 @@ def _newton_iterate(
                 continue
         p[active] = probs * np.exp(-shift)
 
+    if errors is not None:
+        # The systems left at the iteration cap.
+        for k, i in enumerate(active.tolist()):
+            errors[i] = _classify_failure(rows[k], target_stack[i], p[i], diff[k], it)
+
     if converged.any():
         idx = np.flatnonzero(converged)
         p[idx] /= p[idx].sum(axis=1, keepdims=True)
@@ -764,3 +731,35 @@ def _newton_iterate(
         residuals[idx] = np.max(np.abs(moments - target_stack[idx]), axis=1)
 
     return p, residuals, converged, steps
+
+
+def _damped_step(
+    rows: np.ndarray, probs: np.ndarray, diff: np.ndarray, targets: np.ndarray,
+    shift: np.ndarray, overflow: float,
+) -> np.ndarray:
+    """Take each system's damped Newton step on ``probs``, in place: from
+    the full step ``probs * exp(-shift)``, each system halves its own
+    step, up to :data:`DAMPING_HALVINGS` times, while an exponent exceeds
+    ``overflow``, the iterate gets a zero or non-finite probability, or
+    its max-norm moment residual is not below that of ``diff``.  Returns
+    the positions of the systems whose step was never accepted."""
+    residual = np.max(np.abs(diff), axis=1)
+    pending = np.arange(len(probs))
+    scale = np.ones(len(probs))
+    for _ in range(DAMPING_HALVINGS + 1):
+        # Halving is exact, so this is the shift of the halved delta.
+        trial = scale[:, None] * shift[pending]
+        pos = np.flatnonzero(np.max(np.abs(trial), axis=1) <= overflow)
+        p_new = probs[pending[pos]] * np.exp(-trial[pos])
+        ok = np.isfinite(p_new).all(axis=1) & (p_new.min(axis=1) > 0.0)
+        pos, p_new = pos[ok], p_new[ok]
+        idx = pending[pos]
+        moments = (rows[idx] @ p_new[:, :, None])[:, :, 0]
+        lower = np.max(np.abs(moments - targets[idx]), axis=1) < residual[idx]
+        probs[idx[lower]] = p_new[lower]
+        left = np.ones(pending.size, dtype=bool)
+        left[pos[lower]] = False
+        pending, scale = pending[left], 0.5 * scale[left]
+        if pending.size == 0:
+            break
+    return pending

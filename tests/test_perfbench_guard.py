@@ -5,7 +5,9 @@ benchmark is run, and requires its last line (the JSON result) to
 report ``correct: true`` with no failed operation.  A change that makes
 the benchmark's outputs incorrect (a selection that no longer repeats,
 a chosen fit that disagrees with its score or with IPF, an infinite
-train KL) then fails here first.
+train KL) then fails here first.  The traced cases also show that the
+tracer survives names the package no longer has: it lists them as
+unpatched instead of failing.
 """
 
 import json
@@ -23,8 +25,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     [
         ["--workload", "select_library", "--seed", "0", "--seconds", "3", "--trace", "0"],
         ["--workload", "sweep_dense", "--smoke"],
+        ["--workload", "select_library", "--smoke", "--trace", "1"],
+        ["--workload", "sweep_dense", "--smoke", "--trace", "1"],
     ],
-    ids=["select_library", "sweep_dense"],
+    ids=["select_library", "sweep_dense", "select_library-traced", "sweep_dense-traced"],
 )
 def test_benchmark_outputs_are_correct(args):
     proc = subprocess.run(

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from maxentkit.constraints import CoefficientMatrix, is_nested, to_architecture
+from maxentkit.constraints import ArchitectureMatrix, CoefficientMatrix, is_nested, to_architecture
 from maxentkit import selection
 from maxentkit.errors import (
     InputError,
@@ -217,6 +217,16 @@ class TestScoreCandidatesBatch:
             if isinstance(cand, CoefficientMatrix):
                 fit = fit_linear_system(CoefficientMatrix(cand.rows, cand.rows @ F5))
                 assert score.maxent_entropy == entropy(fit.probabilities)
+
+
+    def test_partition_architecture_on_a_face(self):
+        # Binary canonical rows that partition the states: a block of
+        # mass zero is excluded, and the reduced rows keep no all-ones row.
+        arch = ArchitectureMatrix(np.kron(np.eye(3), np.ones(2)), np.full(3, 1.0 / 3.0))
+        f = np.array([0.1, 0.4, 0.3, 0.2, 0.0, 0.0])
+        (score,), _ = score_candidates([arch], f, 100)
+        assert score.rank == 6 - 2
+        assert score.maxent_entropy == pytest.approx(math.log(4), abs=1e-12)
 
 
 class TestLrtReusesCanonicalForms:

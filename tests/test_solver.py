@@ -18,8 +18,8 @@ from maxentkit.simplex import Distribution, entropy
 from maxentkit.solver import (
     FitResult,
     SolveOptions,
-    _newton_batch,
     _newton_iterate,
+    _newton_passes,
     fit_linear_system,
     fit_linear_systems,
     sample_equivalence_class,
@@ -268,7 +268,7 @@ class TestNewtonBatch:
         arches = [to_architecture(s) for s in systems]
         row_stack = np.stack([a.rows for a in arches])
         target_stack = np.stack([a.moments for a in arches])
-        probs, residuals, converged = _newton_batch(row_stack, target_stack)
+        probs, residuals, converged = _newton_passes(row_stack, target_stack)[:3]
         assert converged.all()
         assert residuals.max() <= 1e-10
         for k, arch in enumerate(arches):
@@ -278,10 +278,10 @@ class TestNewtonBatch:
     def test_rows_sum_to_one(self, rng):
         systems = [random_system(rng) for _ in range(4)]
         arches = [to_architecture(s) for s in systems]
-        probs, _, converged = _newton_batch(
+        probs, _, converged = _newton_passes(
             np.stack([a.rows for a in arches]),
             np.stack([a.moments for a in arches]),
-        )
+        )[:3]
         assert converged.all()
         assert np.max(np.abs(probs.sum(axis=1) - 1.0)) <= 1e-13
 
@@ -299,7 +299,7 @@ class TestNewtonBatch:
         target_stack = np.stack(
             [np.array([1.0, 0.4, 0.7]), np.array([1.0, 1.4, 0.7])]
         )
-        probs, _, converged = _newton_batch(row_stack, target_stack)
+        probs, _, converged = _newton_passes(row_stack, target_stack)[:3]
         assert converged[0]
         assert not converged[1]
 
@@ -313,9 +313,9 @@ class TestNewtonBatch:
         ]
         for tolerance in (1e-10, 1e-8):
             for arch in arches:
-                probs, residuals, converged = _newton_batch(
-                    arch.rows[None], arch.moments[None], tolerance=tolerance
-                )
+                probs, residuals, converged = _newton_passes(
+                    arch.rows[None], arch.moments[None], SolveOptions(tolerance=tolerance)
+                )[:3]
                 assert converged[0]
                 assert residuals[0] <= tolerance
                 assert residuals[0] == np.max(np.abs(arch.rows @ probs[0] - arch.moments))
@@ -331,9 +331,9 @@ class TestNewtonBatch:
         ]
         row_stack = np.stack([a.rows for a in arches])
         target_stack = np.stack([a.moments for a in arches])
-        cold, _, cold_ok = _newton_batch(row_stack, target_stack)
+        cold, _, cold_ok = _newton_passes(row_stack, target_stack)[:3]
         start = np.stack([sub.distribution.probs for sub in subs])
-        warm, residuals, warm_ok = _newton_batch(row_stack, target_stack, start=start)
+        warm, residuals, warm_ok = _newton_passes(row_stack, target_stack, start=start)[:3]
         assert cold_ok.all() and warm_ok.all()
         assert residuals.max() <= 1e-10
         assert np.max(np.abs(warm - cold)) < 1e-9
@@ -350,7 +350,7 @@ class TestNewtonBatch:
             rows[None], targets[None], start[None].copy(), 1e-10, 200, 200.0
         )
         assert not ok[0]
-        probs, _, converged = _newton_batch(rows[None], targets[None], start=start[None])
+        probs, _, converged = _newton_passes(rows[None], targets[None], start=start[None])[:3]
         assert converged[0]
         assert np.max(np.abs(probs[0] - PRODUCT_2X2)) < 1e-9
 
@@ -442,7 +442,12 @@ class TestFitLinearSystems:
     def test_flagged_systems_fall_back_to_damped_newton(self, rng, monkeypatch):
         import maxentkit.solver as solver
 
+        iterate = solver._newton_iterate
+
         def flag_all(rows, targets, p, *limits):
+            # Only the undamped passes are flagged; the damped one runs.
+            if len(limits) > 3:
+                return iterate(rows, targets, p, *limits)
             n = rows.shape[0]
             return p, np.full(n, np.inf), np.zeros(n, dtype=bool), np.zeros(n, dtype=int)
 
@@ -467,6 +472,91 @@ class TestFitLinearSystems:
         assert isinstance(fit, ConvergenceError)
         with pytest.raises(ConvergenceError):
             fit_linear_system(marginal_2x2(), options)
+
+
+# Systems from a seeded search (``numpy.random.default_rng(0)``; a row of
+# ones plus integer rows in [-2, 2]; moments of a Dirichlet point with a
+# small concentration) that undamped Newton from uniform flags and the
+# damped pass fits.  Each is (constraint rows below the ones row, moments).
+DAMPED_ONLY = [
+    ([[-2, 0, 2, -2, 1, 0, 1, 1], [0, -2, 0, -2, 2, -2, 0, 2],
+      [2, 0, -2, 0, 2, -2, -2, 1], [0, -1, -1, 0, -1, 1, 2, 1]],
+     [1.0, 1.007190348983044, 1.9856192874825547, 0.9784289312238321, 0.9856193093095901]),
+    ([[1, 0, -1, 0, -2, -1, -2], [0, 2, -2, -1, 1, -2, 1],
+      [-1, -2, 1, -2, -2, 0, 1], [1, 2, -2, -1, 1, 1, 0]],
+     [0.9999999999999999, -0.1611371293436557, 1.3248401476046667,
+      -1.679550155149709, 1.793504479426651]),
+    ([[0, -2, -2, 2, 0], [1, -1, 0, -1, -2], [1, 1, -1, 1, 2]],
+     [1.0, -1.9999999737913, -2.6208700099061844e-08, -0.9999999606869499]),
+    ([[0, -2, -1, 0, 0, -1, -1, -1], [2, 1, 1, 1, 0, 2, -1, -2],
+      [2, 2, 0, 0, -2, -1, 1, 2]],
+     [1.0, -0.9999935605614098, -1.999974253172529, 1.9999999273507947]),
+    ([[1, 1, 2, 2, 0, 1, 1, 0], [0, 2, 0, -1, 2, 1, -1, 0],
+      [-2, -1, -2, -1, 0, -2, 2, -1], [2, 1, 2, 2, 0, 2, 0, 0]],
+     [1.0, 1.0000017471999803, 0.9999982460266084, -1.9999999999745979, 1.9999999999746236]),
+]
+
+
+def damped_only(k):
+    rows, moments = DAMPED_ONLY[k]
+    rows = np.vstack([np.ones(len(rows[0])), rows])
+    return CoefficientMatrix(rows, np.array(moments))
+
+
+class TestNewtonPasses:
+    @pytest.mark.parametrize("max_iterations, expected", [
+        (None, [FitResult, FitResult, SingularJacobianError, SingularJacobianError,
+                InfeasibleMomentsError]),
+        (1, [ConvergenceError] * 5),
+        (20, [FitResult, InfeasibleMomentsError, InfeasibleMomentsError, SingularJacobianError,
+              InfeasibleMomentsError]),
+    ])
+    def test_each_entry_equals_its_batch_of_one(self, max_iterations, expected):
+        # One system pass 1 fits, one only the damped pass fits, a
+        # singular one, an infeasible marginal and the singular rows with
+        # a moment above its row's maximum, whose damped steps stall.
+        # The marginal is an architecture, whose non-binary rows skip the
+        # exclusion cascade; it shares its Newton group with the first
+        # system, and the other three systems share theirs.
+        options = SolveOptions(max_iterations=max_iterations)
+        beyond = SINGULAR_ROWS @ [0.5, 0.5, 0, 0, 0]
+        beyond[1] = 2.5
+        stack = [
+            marginal_2x2(),
+            damped_only(2),
+            CoefficientMatrix(SINGULAR_ROWS, SINGULAR_ROWS @ [0.5, 0.5, 0, 0, 0]),
+            to_architecture(marginal_2x2(1.4, 0.7)),
+            CoefficientMatrix(SINGULAR_ROWS, beyond),
+        ]
+        batch = fit_linear_systems(stack, options)
+        assert [type(fit) for fit in batch] == expected
+        for system, fit in zip(stack, batch):
+            (alone,) = fit_linear_systems([system], options)
+            if isinstance(fit, SolverError):
+                assert type(alone) is type(fit)
+                assert str(alone) == str(fit)
+                continue
+            assert np.array_equal(alone.probabilities, fit.probabilities)
+            assert alone.solution.residual == fit.solution.residual
+            assert alone.solution.iterations == fit.solution.iterations
+            assert np.array_equal(alone.solution.multipliers, fit.solution.multipliers)
+
+    @pytest.mark.parametrize("k", range(len(DAMPED_ONLY)))
+    def test_damped_pass_fits_what_undamped_newton_flags(self, k):
+        system = damped_only(k)
+        arch = to_architecture(system)
+        n = arch.n_states
+        converged = _newton_iterate(
+            arch.rows[None], arch.moments[None], np.full((1, n), 1.0 / n), 1e-10, 200, 200.0
+        )[2]
+        assert not converged[0]
+        fit = fit_linear_system(system)
+        assert isinstance(fit, FitResult)
+        p = fit.probabilities
+        assert np.max(np.abs(arch.rows @ p - arch.moments)) <= 1e-10
+        log_p = np.log(p)
+        coefficients, *_ = np.linalg.lstsq(arch.rows.T, log_p, rcond=None)
+        assert np.max(np.abs(arch.rows.T @ coefficients - log_p)) <= 1e-8
 
 
 # Column 0 pivots on row 2, so the first step swaps; row 3 is row 0 +
