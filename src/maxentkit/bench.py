@@ -11,8 +11,10 @@ The candidate sweep dominates the cost, so fits run through a batched
 Newton iteration grouped by rank.  The models are first split by their
 boundary pattern: the subsets whose product count in the sample is
 exactly zero or exactly the sample size.  Within a pattern every model
-shares the same excluded states, so the reduced systems batch just as
-well; a sample without boundary moments is one pattern.
+shares the excluded states that the pattern's rows give by the
+exclusion cascade of :mod:`maxentkit.constraints`, so the reduced
+systems batch just as well; a sample without boundary moments is one
+pattern, the empty one, which excludes nothing.
 
 Each model's Newton solve starts from the fit of its parent, the
 sub-model that drops its highest-order maximal interaction.  A parent's
@@ -46,7 +48,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.special import xlogy
 
-from .constraints import CoefficientMatrix
+from .constraints import CoefficientMatrix, _support_reductions
 from .errors import InputError, SolverError
 from .ising import (
     SpinModel,
@@ -230,9 +232,11 @@ class _Context:
         spin_masks = sorted(range(1, self.n_states), key=lambda m: (m.bit_count(), m))
         self.n_subsets = len(spin_masks)
         subsets = [_from_mask(m) for m in spin_masks]
-        # Subset j: its spin mask, and back from spin mask to j.
-        self.subset_spin_mask = spin_masks
-        self.subset_pos = {m: j for j, m in enumerate(spin_masks)}
+        # Subset j: its spin mask, and back from spin mask to j (-1 for
+        # the empty mask).
+        self.subset_spin_mask = np.array(spin_masks, dtype=np.int64)
+        self.subset_pos = np.full(self.n_states, -1, dtype=np.int64)
+        self.subset_pos[spin_masks] = np.arange(self.n_subsets)
         # Row 0 is normalization; row 1 + j the product row of subset j.
         self.zeta = np.vstack(
             [np.ones((1, self.n_states)), product_rows(subsets, length)]
@@ -263,12 +267,23 @@ class _Context:
         self.parent = np.full(len(self.models), -1)
         self.parent[has_parent] = by_bits[slot]
 
-    def _row_matrix(self, model_indices: np.ndarray) -> np.ndarray:
-        """Row indices into ``zeta`` of same-rank models, one per line."""
-        bits = self.closure_bits[model_indices]
-        member = (bits[:, None] >> np.arange(self.n_subsets)) & 1
-        cols = np.nonzero(member)[1].reshape(len(model_indices), -1)
-        return np.hstack([np.zeros((len(model_indices), 1), dtype=int), 1 + cols])
+    def _members(self, bits: np.ndarray) -> np.ndarray:
+        """Per line of closure bits, the 0/1 indicator of each subset."""
+        return (bits[:, None] >> np.arange(self.n_subsets)) & 1
+
+    def _collapse(self, bits: np.ndarray, spins: int) -> np.ndarray:
+        """Closure bits with each subset cut down to its spins outside
+        the spin mask ``spins``: a subset inside it drops, and subsets
+        that coincide once cut merge."""
+        target = self.subset_pos[self.subset_spin_mask & ~spins]
+        target_bits = np.where(target >= 0, np.left_shift(1, np.maximum(target, 0)), 0)
+        return np.bitwise_or.reduce(self._members(bits) * target_bits, axis=1)
+
+    def _row_matrix(self, bits: np.ndarray) -> np.ndarray:
+        """Row indices into ``zeta`` of closure bits with one bit count,
+        one line each: normalization, then row 1 + j per set bit j."""
+        cols = np.nonzero(self._members(bits))[1].reshape(len(bits), -1)
+        return np.hstack([np.zeros((len(bits), 1), dtype=int), 1 + cols])
 
     def implying(self, i: int) -> np.ndarray:
         """Indices of models whose closure contains model ``i``'s."""
@@ -298,20 +313,14 @@ def _fit_all_models(ctx: _Context, counts: np.ndarray, n: int) -> _FitTable:
     robust: list[int] = []
 
     subset_bits = np.left_shift(1, np.arange(ctx.n_subsets, dtype=np.int64))
-    zero_bits = int(subset_bits[m_counts[1:] == 0].sum())
-    sat_bits = int(subset_bits[m_counts[1:] == n].sum())
-    # No subset is both zero and saturated, so a model's boundary bits
-    # split back into its zero and saturated hits.
-    patterns, inverse = np.unique(
-        ctx.closure_bits & (zero_bits | sat_bits), return_inverse=True
-    )
+    boundary_bits = int(subset_bits[(m_counts[1:] == 0) | (m_counts[1:] == n)].sum())
+    patterns, inverse = np.unique(ctx.closure_bits & boundary_bits, return_inverse=True)
     inverse = inverse.ravel()
     # A sub-model's pattern is contained in its child's, so taking
     # patterns by boundary-bit count reaches the sub-model's first.
     for k in sorted(range(len(patterns)), key=lambda k: int(patterns[k]).bit_count()):
-        hit = int(patterns[k])
         _fit_pattern(
-            ctx, hit & zero_bits, hit & sat_bits, np.flatnonzero(inverse == k),
+            ctx, int(patterns[k]), np.flatnonzero(inverse == k),
             m_frac, f, probs, rank_eff, valid, robust,
         )
 
@@ -333,8 +342,7 @@ def _fit_all_models(ctx: _Context, counts: np.ndarray, n: int) -> _FitTable:
 
 def _fit_pattern(
     ctx: _Context,
-    zero_hit: int,
-    sat_hit: int,
+    hit: int,
     members: np.ndarray,
     m_frac: np.ndarray,
     f: np.ndarray,
@@ -343,64 +351,48 @@ def _fit_pattern(
     valid: np.ndarray,
     robust: list[int],
 ) -> None:
-    """Batch-fit the models sharing one boundary-moment pattern.
+    """Batch-fit the models sharing one boundary-moment pattern, the
+    closure bits ``hit`` whose product count is zero or saturated.
 
-    A zero product count excludes every state with that subset fully on;
-    a saturated one excludes every state without it.  On the surviving
-    states the saturated spins are constant, so each kept interaction
-    collapses to its non-saturated part and duplicates merge.  The
-    reduced rows stay independent, which keeps the batch solver
-    applicable; only a fully pinned working space is left to the fallback.
-    Batches run in increasing rank, so a parent in the same pattern is
-    fitted before its children and can seed them.
+    The pattern's rows run the exclusion cascade
+    (:func:`~maxentkit.constraints._support_reductions`): a zero product
+    count excludes every state with that subset fully on; a saturated
+    one excludes every state without it.  On the surviving states the
+    saturated spins are constant, so each kept interaction collapses to
+    its non-saturated part and duplicates merge; the empty pattern
+    collapses nothing.  The reduced rows stay independent, which keeps
+    the batch solver applicable.  A model that pins its working space
+    is the sample itself when nothing is excluded, and is left to the
+    fallback otherwise.  Batches run in increasing rank, so a parent in
+    the same pattern is fitted before its children and can seed them.
     """
     a = ctx.n_states
-    if zero_hit == 0 and sat_hit == 0:
-        # No state is excluded: a slice keeps the full rows as views.
-        working = np.s_[:]
-        ranks = ctx.rank_full[members]
-        saturated = members[ranks == a]
-        probs[saturated] = f
-        valid[saturated] = True
-        groups = []
-        for d in np.unique(ranks[ranks < a]):
-            midx = members[ranks == d]
-            groups.append((midx, ctx._row_matrix(midx)))
+    # Row 1 + j of zeta is subset j, and ``_from_mask`` lists set bits
+    # 1-based.
+    boundary = np.array(_from_mask(hit), dtype=int)
+    (excluded,), _, _ = _support_reductions(ctx.zeta_bool[None, boundary], m_frac[None, boundary])
+    n_excluded = int(excluded.sum())
+    # With nothing excluded, a slice keeps the full rows C-contiguous; an
+    # all-True mask would copy them into another layout, whose batched
+    # matmul rounds differently.
+    working = ~excluded if n_excluded else np.s_[:]
+
+    saturated = boundary[m_frac[boundary] == 1.0] - 1
+    sat_spins = np.bitwise_or.reduce(ctx.subset_spin_mask[saturated])
+    collapsed = ctx._collapse(ctx.closure_bits[members] & ~hit, sat_spins)
+    n_rows = 1 + ctx._members(collapsed).sum(axis=1)
+    rank_eff[members] = n_rows + n_excluded
+    pinned = n_rows >= a - n_excluded
+    if n_excluded:
+        robust.extend(members[pinned].tolist())
     else:
-        zero_rows = list(_from_mask(zero_hit))
-        sat_rows = list(_from_mask(sat_hit))
-        working = ~(
-            ctx.zeta_bool[zero_rows].any(axis=0)
-            | ~ctx.zeta_bool[sat_rows].all(axis=0)
-        )
-        sat_spins = 0
-        for r in sat_rows:
-            sat_spins |= ctx.subset_spin_mask[r - 1]
-        n_working = int(working.sum())
-        n_excluded = a - n_working
+        probs[members[pinned]] = f
+        valid[members[pinned]] = True
 
-        reduced_rows: dict[int, list[int]] = {}
-        by_shape: dict[int, list[int]] = defaultdict(list)
-        for i in members.tolist():
-            kept = int(ctx.closure_bits[i]) & ~zero_hit & ~sat_hit
-            eff: set[int] = set()
-            for r in _from_mask(kept):
-                e_mask = ctx.subset_spin_mask[r - 1] & ~sat_spins
-                if e_mask:
-                    eff.add(1 + ctx.subset_pos[e_mask])
-            row_idx = [0, *sorted(eff)]
-            rank_eff[i] = len(row_idx) + n_excluded
-            if len(row_idx) >= n_working:
-                robust.append(i)
-            else:
-                reduced_rows[i] = row_idx
-                by_shape[len(row_idx)].append(i)
-        groups = [
-            (np.array(idx), np.array([reduced_rows[i] for i in idx], dtype=int))
-            for _, idx in sorted(by_shape.items())
-        ]
-
-    for midx, rmat in groups:
+    for d in np.unique(n_rows[~pinned]):
+        batch = n_rows == d
+        midx = members[batch]
+        rmat = ctx._row_matrix(collapsed[batch])
         rows = ctx.zeta[rmat][:, :, working]
         batch_p, _, done, _, _ = _newton_passes(
             rows, m_frac[rmat], start=_seeds(ctx, midx, working, probs, valid)

@@ -19,8 +19,9 @@ Conventions enforced here:
 * states whose probability is forced to zero by the moments themselves
   (a binary constraint row with target zero, or with target one, which
   zeroes the complement) are removed from the working space before any
-  solve.  :func:`reduce_binary_support` performs that exclusion cascade
-  and reports the mask back to the full space.
+  solve.  :func:`_support_reductions` runs that exclusion cascade on a
+  stack of binary systems at once, and :func:`reduce_binary_support` on
+  one, reporting the mask back to the full space.
 """
 
 from __future__ import annotations
@@ -104,11 +105,6 @@ class _RowForm:
     def is_binary(self) -> bool:
         r = self.matrix
         return bool(np.all((r == 0.0) | (r == 1.0)))
-
-    @cached_property
-    def full_support(self) -> np.ndarray:
-        """Mask of the rows with no zero entry."""
-        return self.matrix.all(axis=1)
 
     @cached_property
     def elimination(self) -> "_Elimination":
@@ -286,12 +282,15 @@ def _check_normalization(form: _RowForm, total: float) -> None:
         )
 
 
-def _architecture(form: _RowForm, moments: np.ndarray, total: float) -> ArchitectureMatrix:
+def _architecture(
+    form: _RowForm, moments: np.ndarray, total: Optional[float]
+) -> ArchitectureMatrix:
     """An architecture on validated rows: the RREF check runs once per
     form, the normalization check on every moment vector, whose sum is
-    ``total``."""
+    ``total``, unless ``total`` is ``None``."""
     form.check_rref()
-    _check_normalization(form, total)
+    if total is not None:
+        _check_normalization(form, total)
     return _derive(ArchitectureMatrix, form, moments)
 
 
@@ -488,7 +487,11 @@ def _architectures(
                 f"keeps right-hand side {float(tails[k, a]):.6g}"
             ))
         else:
-            out.append(_architecture(steps[k].canonical, canonical[k], totals[k]))
+            # An architecture's own rows (checked as RREF) replay to
+            # themselves, and its moments were checked for normalization
+            # when it was built.
+            total = None if forms[k]._rref_checked else totals[k]
+            out.append(_architecture(steps[k].canonical, canonical[k], total))
     return out
 
 
@@ -629,6 +632,49 @@ class SupportReduction:
         return int(self.excluded.sum())
 
 
+def _support_reductions(
+    supports: np.ndarray, moments: np.ndarray, ztol: float = MOMENT_ZERO_TOL
+) -> tuple[np.ndarray, np.ndarray, dict[int, Union[InputError, InfeasibleMomentsError]]]:
+    """The exclusion cascade of a stack of binary systems.
+
+    ``supports`` ``(g, r, a)`` holds each system's rows as masks and
+    ``moments`` ``(g, r)`` its targets.  A row with target zero excludes
+    its support, one with target one the complement; neither rule
+    depends on the other exclusions, so the cascade's fixed point is the
+    union of both.  Returns the excluded states ``(g, a)``, the rows
+    that survive ``(g, r)`` and, by index, the error of every system
+    whose moments leave ``[0, 1]`` (:class:`InputError`) or that the
+    exclusions prove infeasible (:class:`InfeasibleMomentsError`).
+    """
+    is_zero = moments <= ztol
+    is_one = moments >= 1.0 - ztol
+    excluded = (supports & is_zero[:, :, None]).any(axis=1) | (
+        ~supports & is_one[:, :, None]
+    ).any(axis=1)
+    working = ~excluded
+    surviving = (supports & working[:, None, :]).sum(axis=2)
+    fractional = ~(is_zero | is_one)
+    empty = fractional & (surviving == 0)
+    covering = fractional & (surviving == working.sum(axis=1)[:, None])
+    out_of_range = ((moments < -ztol) | (moments > 1.0 + ztol)).any(axis=1)
+    contradicts = empty | covering
+    errors: dict[int, Union[InputError, InfeasibleMomentsError]] = {}
+    for k in np.flatnonzero(out_of_range | contradicts.any(axis=1) | excluded.all(axis=1)).tolist():
+        a = int(np.argmax(contradicts[k]))
+        if out_of_range[k]:
+            errors[k] = InputError("binary moments must lie in [0, 1]")
+        elif contradicts[k, a]:
+            errors[k] = InfeasibleMomentsError(
+                (f"infeasible moments: row {a} has positive target {moments[k, a]:.6g} "
+                 "but empty surviving support") if empty[k, a] else
+                (f"infeasible moments: row {a} covers the working space but its "
+                 f"target {moments[k, a]:.6g} is below one")
+            )
+        else:
+            errors[k] = InfeasibleMomentsError("infeasible moments: every state was excluded")
+    return excluded, ~is_zero & (surviving > 0), errors
+
+
 def reduce_binary_support(
     rows: np.ndarray,
     moments: np.ndarray,
@@ -642,7 +688,8 @@ def reduce_binary_support(
     complement to zero.  Exclusions cascade: once states are removed, a
     row whose remaining support empties while its target stays positive,
     or whose remaining support covers the whole working space while its
-    target stays below one, proves the moments infeasible.
+    target stays below one, proves the moments infeasible.  This is
+    :func:`_support_reductions` on a stack of one.
 
     Parameters
     ----------
@@ -655,39 +702,13 @@ def reduce_binary_support(
     m = np.asarray(moments, dtype=float)
     if not np.all((mat == 0.0) | (mat == 1.0)):
         raise InputError("support reduction requires binary rows")
-    if np.any(m < -ztol) or np.any(m > 1.0 + ztol):
-        raise InputError("binary moments must lie in [0, 1]")
-
-    supports = mat == 1.0
-    is_zero = m <= ztol
-    is_one = m >= 1.0 - ztol
-    # Neither rule depends on the other exclusions, so the cascade's
-    # fixed point is the union of both.
-    excluded = supports[is_zero].any(axis=0) | ~supports[is_one].all(axis=0)
-    working = ~excluded
-    surviving = (supports & working).sum(axis=1)
-    fractional = ~(is_zero | is_one)
-    empty = fractional & (surviving == 0)
-    covering = fractional & (surviving == working.sum())
-    if np.any(empty | covering):
-        a = int(np.argmax(empty | covering))
-        if empty[a]:
-            raise InfeasibleMomentsError(
-                f"infeasible moments: row {a} has positive target "
-                f"{m[a]:.6g} but empty surviving support"
-            )
-        raise InfeasibleMomentsError(
-            f"infeasible moments: row {a} covers the working space but "
-            f"its target {m[a]:.6g} is below one"
-        )
-    if excluded.all():
-        raise InfeasibleMomentsError("infeasible moments: every state was excluded")
-
-    kept_rows = np.flatnonzero(~is_zero & (surviving > 0))
-    reduced_rows = mat[np.ix_(kept_rows, np.flatnonzero(working))]
+    (excluded,), (kept,), errors = _support_reductions((mat == 1.0)[None], m[None], ztol)
+    if errors:
+        raise errors[0]
+    kept_rows = np.flatnonzero(kept)
     return SupportReduction(
         excluded=excluded,
         kept_rows=kept_rows,
-        rows=reduced_rows,
+        rows=mat[np.ix_(kept_rows, np.flatnonzero(~excluded))],
         moments=m[kept_rows],
     )

@@ -89,13 +89,7 @@ def closure(
     Returns every non-empty subset of every given interaction, without
     duplicates, sorted by size and then lexicographically.
     """
-    masks: set[int] = set()
-    for subset in interactions:
-        gen = _to_mask(_canonical_interaction(subset, n_spins))
-        sub = gen
-        while sub:
-            masks.add(sub)
-            sub = (sub - 1) & gen
+    masks = _close_masks([_to_mask(_canonical_interaction(s, n_spins)) for s in interactions])
     return tuple(sorted((_from_mask(m) for m in masks), key=_sort_key))
 
 

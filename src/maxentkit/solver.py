@@ -1,11 +1,11 @@
 """Maximum-entropy solvers for linearly constrained simplex models.
 
-:func:`fit_linear_systems` is the fit path.  Each raw system runs the
-zero-moment exclusion cascade, so boundary moments (targets of exactly
-zero or one) shrink the working space instead of diverging the
-multipliers, and is then canonicalized; systems that exclude nothing
-are canonicalized together, one lockstep replay of the eliminations
-per row count and elimination length.  A saturated system is read off
+:func:`fit_linear_systems` is the fit path.  The binary systems run
+the zero-moment exclusion cascade, one call per row shape, so boundary
+moments (targets of exactly zero or one) shrink the working space
+instead of diverging the multipliers.  Every system, reduced or not,
+is then canonicalized, one lockstep replay of the eliminations per row
+count and elimination length.  A saturated system is read off
 directly; the others are grouped by working shape and each group is
 solved over the stack by the one Newton kernel, :func:`_newton_iterate`.
 Each step multiplies the iterate by ``exp(-rows^T @ delta)`` where
@@ -37,15 +37,13 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .constraints import (
-    MOMENT_ZERO_TOL,
     ArchitectureMatrix,
     CoefficientMatrix,
     KernelBasis,
     _architectures,
     _derive,
     _RowForm,
-    reduce_binary_support,
-    to_architecture,
+    _support_reductions,
 )
 from .errors import (
     ConvergenceError,
@@ -162,10 +160,15 @@ def _multipliers(row_stack: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 def _classify_failure(
-    rows: np.ndarray, targets: np.ndarray, p: np.ndarray, diff: np.ndarray, iterations: int
+    rows: np.ndarray, targets: np.ndarray, p: np.ndarray, diff: np.ndarray, iterations: int,
+    tolerance: float,
 ) -> SolverError:
     """The typed error of one system the damped pass stopped at the
-    iterate ``p``, whose moment residuals are ``diff``."""
+    iterate ``p``, whose moment residuals are ``diff``.  The residuals
+    reported are those the convergence test failed on: the iterate's,
+    or its normalization's where the iterate meets the tolerance."""
+    if np.max(np.abs(diff)) <= tolerance:
+        diff = rows @ p / p.sum() - targets
     worst = int(np.argmax(np.abs(diff)))
     detail = (
         f"residual {abs(diff[worst]):.3e} after {iterations} iterations; worst "
@@ -317,72 +320,56 @@ class FitResult:
 def _working_systems(
     systems: Sequence[Union[CoefficientMatrix, ArchitectureMatrix]],
 ) -> list[Union[tuple[CoefficientMatrix, ArchitectureMatrix, np.ndarray], SolverError]]:
-    """Per system, the reduced system on its working space, its
-    canonical form and the mask of excluded states; or the
-    :class:`SolverError` that stopped it.
+    """Per system, the system on its working space, its canonical form
+    and the mask of excluded states; or the :class:`SolverError` that
+    stopped it.
 
-    Systems are stacked per :attr:`~maxentkit.constraints._RowForm.replay_key`.
-    A stack's non-binary systems, and its binary ones whose moments lie
-    inside the support, exclude nothing and are canonicalized together
-    by one lockstep replay; the other binary systems run the exclusion
-    cascade one at a time, in order.
+    The binary systems run the exclusion cascade, one
+    :func:`~maxentkit.constraints._support_reductions` call per row
+    shape, and each that excludes a state is replaced by its surviving
+    rows on its working states.  Every system is then canonicalized,
+    one lockstep replay per
+    :attr:`~maxentkit.constraints._RowForm.replay_key`.
     """
     out: list = [None] * len(systems)
-    stacks: dict[tuple[int, int], list[int]] = defaultdict(list)
+    working = list(systems)
+    excluded = [np.zeros(system.n_states, dtype=bool) for system in systems]
+    shapes: dict[tuple[int, int], list[int]] = defaultdict(list)
     for i, system in enumerate(systems):
-        stacks[system._form.replay_key].append(i)
-    boundary = []
-    for members in stacks.values():
-        forms = [systems[i]._form for i in members]
+        if system._form.is_binary:
+            shapes[system.rows.shape].append(i)
+    for members in shapes.values():
+        rows = np.array([systems[i].rows for i in members])
         moments = np.array([systems[i].moments for i in members])
-        direct = ~np.array([form.is_binary for form in forms]) | _inside_binary_support(
-            np.array([form.full_support for form in forms]), moments
-        )
-        boundary.extend(members[k] for k in np.flatnonzero(~direct))
-        keep = np.flatnonzero(direct)
-        if not keep.size:
-            continue
-        for k, architecture in zip(keep, _architectures([forms[k] for k in keep], moments[keep])):
+        masks, kept, errors = _support_reductions(rows == 1.0, moments)
+        for k, exc in errors.items():
+            if isinstance(exc, InputError):
+                raise exc
+            out[members[k]] = exc
+        for k in np.flatnonzero(masks.any(axis=1)).tolist():
+            if k in errors:
+                continue
+            reduced_rows = rows[k][np.ix_(kept[k], ~masks[k])]
+            reduced_moments = moments[k][kept[k]]
+            reduced_rows.setflags(write=False)
+            reduced_moments.setflags(write=False)
+            # Reduced from an architecture, the rows need not keep an
+            # all-ones row, which the CoefficientMatrix constructor asks for.
             i = members[k]
+            working[i] = _derive(CoefficientMatrix, _RowForm(reduced_rows), reduced_moments)
+            excluded[i] = masks[k]
+    stacks: dict[tuple[int, int], list[int]] = defaultdict(list)
+    for i, system in enumerate(working):
+        if out[i] is None:
+            stacks[system._form.replay_key].append(i)
+    for members in stacks.values():
+        forms = [working[i]._form for i in members]
+        moments = np.array([working[i].moments for i in members])
+        for i, architecture in zip(members, _architectures(forms, moments)):
             if not isinstance(architecture, SolverError):
-                architecture = (systems[i], architecture, np.zeros(systems[i].n_states, dtype=bool))
+                architecture = (working[i], architecture, excluded[i])
             out[i] = architecture
-    for i in sorted(boundary):
-        try:
-            out[i] = _reduced_system(systems[i])
-        except SolverError as exc:
-            out[i] = exc
     return out
-
-
-def _reduced_system(
-    system: Union[CoefficientMatrix, ArchitectureMatrix],
-) -> tuple[CoefficientMatrix, ArchitectureMatrix, np.ndarray]:
-    """The exclusion cascade and canonical form of one binary system."""
-    reduction = reduce_binary_support(system.rows, system.moments)
-    # With no state excluded every row survives: the system is its own
-    # reduction.
-    if not reduction.n_excluded:
-        return system, to_architecture(system), reduction.excluded
-    # Reduced from an architecture, the rows need not keep an all-ones
-    # row, which the CoefficientMatrix constructor asks for.
-    reduction.rows.setflags(write=False)
-    reduction.moments.setflags(write=False)
-    reduced = _derive(CoefficientMatrix, _RowForm(reduction.rows), reduction.moments)
-    return reduced, to_architecture(reduced), reduction.excluded
-
-
-def _inside_binary_support(full_support: np.ndarray, moments: np.ndarray) -> np.ndarray:
-    """Per stacked binary system, whether the exclusion cascade provably
-    excludes nothing and raises nothing: every partial-support row has
-    its moment strictly inside ``(ztol, 1 - ztol)`` and every
-    full-support row within ``ztol`` of one (see
-    :func:`reduce_binary_support`)."""
-    return np.where(
-        full_support,
-        np.abs(moments - 1.0) <= MOMENT_ZERO_TOL,
-        (moments > MOMENT_ZERO_TOL) & (moments < 1.0 - MOMENT_ZERO_TOL),
-    ).all(axis=1)
 
 
 def _saturated_solution(architecture: ArchitectureMatrix) -> MaxEntSolution:
@@ -429,14 +416,15 @@ def fit_linear_systems(
 ) -> list[Union[FitResult, SolverError]]:
     """Canonicalize, reduce, and solve many raw constraint systems.
 
-    Each system runs the exclusion cascade, unless its moments provably
-    exclude nothing, and is canonicalized on its working space, systems
-    of one row count and elimination length by one lockstep replay; a
-    saturated one is read off directly.  The others are grouped by
-    ``(rank, working states)`` and each group runs through the passes
-    of :func:`_newton_passes` from uniform.  An architecture is its own
-    canonical form, so it may be passed as well.  Every system's fit
-    depends on that system alone, not on its group.
+    The binary systems run the exclusion cascade, a stack per row shape,
+    and every system is canonicalized on its working space, systems of
+    one row count and elimination length by one lockstep replay (see
+    :func:`_working_systems`); a saturated one is read off directly.
+    The others are grouped by ``(rank, working states)`` and each group
+    runs through the passes of :func:`_newton_passes` from uniform.  An
+    architecture is its own canonical form, so it may be passed as
+    well.  Every system's fit depends on that system alone, not on its
+    group.
 
     Returns one entry per system, in order: its :class:`FitResult`, or
     the :class:`SolverError` that stopped it.  Input errors raise.
@@ -707,7 +695,9 @@ def _newton_iterate(
             p[active] = probs
             for k in stalled.tolist():
                 i = int(active[k])
-                errors[i] = _classify_failure(rows[k], target_stack[i], probs[k], diff[k], it + 1)
+                errors[i] = _classify_failure(
+                    rows[k], target_stack[i], probs[k], diff[k], it + 1, tolerance
+                )
             active = np.delete(active, stalled)
             continue
         runaway = np.max(np.abs(shift), axis=1) > overflow
@@ -722,7 +712,7 @@ def _newton_iterate(
     if errors is not None:
         # The systems left at the iteration cap.
         for k, i in enumerate(active.tolist()):
-            errors[i] = _classify_failure(rows[k], target_stack[i], p[i], diff[k], it)
+            errors[i] = _classify_failure(rows[k], target_stack[i], p[i], diff[k], it, tolerance)
 
     if converged.any():
         idx = np.flatnonzero(converged)

@@ -11,6 +11,7 @@ import time
 from collections import defaultdict
 
 import numpy as np
+import pytest
 from scipy.stats import kstest
 
 from conftest import record_acceptance
@@ -298,6 +299,7 @@ def _accuracy_curves(report):
     return sizes, table
 
 
+@pytest.mark.slow
 def test_benchmark_recovery_ordering(smoke_report):
     """Across the sweep, the consistent selectors recover the truth
     monotonically and nearly surely at the largest size, while the
@@ -340,6 +342,7 @@ def _poisson_binomial_upper_tail(probs, k):
     return float(min(1.0, pmf[k:].sum()))
 
 
+@pytest.mark.slow
 def test_truth_threshold_pass_rate(smoke_report):
     """The generating architecture fails its sample-size-scaled p-value
     threshold no more often than the chi-square law allows.
@@ -378,6 +381,7 @@ def test_truth_threshold_pass_rate(smoke_report):
     )
 
 
+@pytest.mark.slow
 def test_benchmark_determinism(tmp_path):
     """Reports are byte-identical across repeat runs and thread counts."""
     base = dict(

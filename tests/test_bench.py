@@ -222,18 +222,24 @@ class TestFitTableCrossValidation:
 
     def test_zero_count_patterns(self):
         """Sparse counts exercise the exclusion patterns; every model
-        must still fit and reproduce its own moments."""
+        must still fit, reproduce its own moments and agree with its
+        scalar fit.  The second input has spin 1 on in every sample, so
+        its product moments saturate and collapse onto spins 2 and 3."""
         config = BenchmarkConfig(**TINY)
         ctx = _Context(config)
-        counts = np.array([5, 0, 3, 0, 0, 0, 2, 0], dtype=np.int64)
-        n = int(counts.sum())
-        table = _fit_all_models(ctx, counts, n)
-        f = counts / n
-        assert table.valid.all()
-        for k, model in enumerate(ctx.models):
-            rows = to_coefficients(model, f).rows
-            p = table.probabilities[k]
-            assert np.max(np.abs(rows @ p - rows @ f)) < 1e-8
+        for counts in ([5, 0, 3, 0, 0, 0, 2, 0], [0, 0, 0, 0, 4, 1, 0, 3]):
+            counts = np.array(counts, dtype=np.int64)
+            n = int(counts.sum())
+            table = _fit_all_models(ctx, counts, n)
+            f = counts / n
+            assert table.valid.all()
+            for k, model in enumerate(ctx.models):
+                system = to_coefficients(model, f)
+                p = table.probabilities[k]
+                assert np.max(np.abs(system.rows @ p - system.moments)) < 1e-8
+                fit = fit_linear_system(system)
+                assert table.rank_eff[k] == fit.rank_effective
+                assert np.max(np.abs(p - fit.probabilities)) < 1e-7
 
     def test_five_spin_warm_started_table(self, five_spin_ctx):
         """Warm starts along the parent chain must not move the five-spin
@@ -250,6 +256,24 @@ class TestFitTableCrossValidation:
             assert table.valid[k]
             assert table.rank_eff[k] == fit.rank_effective
             assert np.max(np.abs(table.probabilities[k] - fit.probabilities)) < 1e-7
+
+
+class TestCollapse:
+    def test_matches_per_subset_loop(self, five_spin_ctx):
+        """The vectorised collapse of closure bits by saturated spins
+        against the per-subset loop it replaced."""
+        ctx = five_spin_ctx
+        bits = ctx.closure_bits[np.random.default_rng(5).choice(len(ctx.models), 200)]
+        for spins in (0, 0b1, 0b10100, 0b11111):
+            expected = []
+            for b in bits.tolist():
+                out = 0
+                for j in range(ctx.n_subsets):
+                    cut = int(ctx.subset_spin_mask[j]) & ~spins
+                    if b >> j & 1 and cut:
+                        out |= 1 << int(ctx.subset_pos[cut])
+                expected.append(out)
+            assert ctx._collapse(bits, spins).tolist() == expected
 
 
 class TestTruthScoring:

@@ -14,6 +14,7 @@ from maxentkit.constraints import (
     induced_moments,
     is_nested,
     kernel_basis,
+    _support_reductions,
     nesting_map,
     reduce_binary_support,
     to_architecture,
@@ -493,3 +494,30 @@ class TestReduceBinarySupport:
         rows = rows[keep]
         red = reduce_binary_support(rows, rows @ p)
         assert not red.excluded[p > 0].any()
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_stack_matches_each_system_alone(self, data):
+        """The stacked cascade gives each system what it gets alone:
+        the same exclusions and kept rows, or the same error."""
+        g, r, a = (data.draw(st.integers(min_value=1, max_value=m)) for m in (5, 4, 6))
+        supports = np.array(
+            data.draw(st.lists(st.booleans(), min_size=g * r * a, max_size=g * r * a))
+        ).reshape(g, r, a)
+        # Exact and near boundary targets, interior ones, and targets
+        # outside [0, 1].
+        targets = st.sampled_from([0.0, 1e-13, 0.3, 0.5, 1.0 - 1e-13, 1.0, 1.0 + 1e-13, -0.2, 1.5])
+        moments = np.array(
+            data.draw(st.lists(targets, min_size=g * r, max_size=g * r))
+        ).reshape(g, r)
+        excluded, kept, errors = _support_reductions(supports, moments)
+        for k in range(g):
+            try:
+                alone = reduce_binary_support(supports[k].astype(float), moments[k])
+            except (InputError, InfeasibleMomentsError) as exc:
+                assert type(errors[k]) is type(exc)
+                assert str(errors[k]) == str(exc)
+                continue
+            assert k not in errors
+            assert np.array_equal(excluded[k], alone.excluded)
+            assert np.array_equal(np.flatnonzero(kept[k]), alone.kept_rows)

@@ -19,6 +19,8 @@ import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
+pytestmark = pytest.mark.slow
+
 
 @pytest.mark.parametrize(
     "args",

@@ -1,4 +1,6 @@
+import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from maxentkit.constraints import ArchitectureMatrix, CoefficientMatrix, is_nested, to_architecture
 from maxentkit import selection
 from maxentkit.errors import (
+    ConvergenceError,
     InputError,
     NoSolvableCandidateError,
     NotNestedError,
@@ -41,7 +44,7 @@ from maxentkit.selection import (
     select_scored,
 )
 from maxentkit.simplex import entropy
-from maxentkit.solver import fit_linear_system
+from maxentkit.solver import SolveOptions, fit_linear_system
 
 # 95% quantiles of the chi-square, 50-digit evaluations.
 CHI2_Q95_K1 = 3.841458820694124
@@ -614,3 +617,35 @@ class TestCalibration:
         ps, model, n = p_values
         alpha = alpha_empirical(model.n_states, model.rank, n)
         assert np.mean(ps >= alpha) >= 0.99
+
+
+class TestNonNormalizingArchitecture:
+    """An architecture whose rows do not normalize is flagged once per
+    sample, and its failed fit reports the residual that its
+    convergence test failed on."""
+
+    F = np.array([0.3, 0.3, 0.4])
+
+    @pytest.fixture
+    def arch(self):
+        return ArchitectureMatrix(np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.25]]), np.array([0.5, 0.5]))
+
+    @staticmethod
+    def _residual(message):
+        return float(re.search(r"residual (\S+) ", message).group(1))
+
+    def test_warns_once_per_sample(self, arch, caplog):
+        flat = CoefficientMatrix(np.ones((1, 3)), np.array([1.0]))
+        with caplog.at_level(logging.WARNING, logger="maxentkit"):
+            result = select([arch, flat], self.F, 100, SelectionConfig(method="hyper_maxent"))
+        messages = [record.getMessage() for record in caplog.records]
+        assert sum("does not normalize" in m for m in messages) == 1
+        assert result.failed_ids == (0,)
+        (failed,) = [m for m in messages if "candidate 0 failed to solve" in m]
+        assert self._residual(failed) > SolveOptions().tolerance
+
+    def test_failure_reports_the_normalized_residual(self, arch):
+        # The iterate meets the moments, but not once it is normalized.
+        with pytest.raises(ConvergenceError) as info:
+            fit_linear_system(arch.with_moments(arch.rows @ self.F))
+        assert self._residual(str(info.value)) > SolveOptions().tolerance
