@@ -8,7 +8,13 @@ truth's closure, and held-out samples give a test divergence for the
 picked model.
 
 The candidate sweep dominates the cost, so fits run through a batched
-Newton iteration grouped by rank.  The models are first split by their
+Newton iteration grouped by rank, on product rows
+(:class:`~maxentkit.solver._ProductRows`): each batch is the row
+indices of its models into one basis, the product rows of every spin
+subset on the working states, and ``_Context.union`` maps two rows to
+the row of their product, so no per-model row stack is built, and the
+batches of a sample without boundary moments are built once per
+context.  The models are first split by their
 boundary pattern: the subsets whose product count in the sample is
 exactly zero or exactly the sample size.  Within a pattern every model
 shares the excluded states that the pattern's rows give by the
@@ -27,19 +33,24 @@ uniform.  Warm-started systems the batch flags (singular, runaway, or
 unconverged) are restarted once from uniform, and those still flagged
 get the damped pass (see :func:`~maxentkit.solver._newton_passes`);
 systems that pass cannot fit, and the models whose working space is
-fully pinned, are refitted together by
+fully pinned, are refitted together on dense rows by
 :func:`~maxentkit.solver.fit_linear_systems`, and a model that still
 fails is dropped from that sample's candidate set with a warning.
 
 Every task (realization, sample size, sample index) reseeds its own
 generator from the configured seed, so reports are reproducible
 bit-for-bit regardless of worker count or resumption.
+:func:`compare_reports` sorts the differences between two written
+reports into changed selections, floats moved beyond a relative
+tolerance, and floats moved within it.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import logging
+import math
 import os
 from collections import defaultdict
 from dataclasses import dataclass
@@ -62,7 +73,7 @@ from .ising import (
 )
 from .selection import METHODS, SelectionConfig, alpha_empirical, score_arrays, select_arrays
 from .simplex import entropy
-from .solver import _newton_passes, fit_linear_systems
+from .solver import _newton_passes, _ProductRows, fit_linear_systems
 
 __all__ = [
     "BenchmarkConfig",
@@ -74,6 +85,9 @@ __all__ = [
     "report_csv",
     "truth_csv",
     "summary_csv",
+    "ReportDifference",
+    "ReportComparison",
+    "compare_reports",
 ]
 
 log = logging.getLogger(__name__)
@@ -243,6 +257,13 @@ class _Context:
         )
         self.zeta_int = self.zeta.astype(np.int64)
         self.zeta_bool = self.zeta.astype(bool)
+        # The product of rows r and s of zeta is row union[r, s], the
+        # row of the union of their subsets.
+        row_mask = np.concatenate([[0], self.subset_spin_mask])
+        self.union = (1 + self.subset_pos[row_mask[:, None] | row_mask[None, :]]).astype(np.uint8)
+        # By row count, the batch rows of a sample without boundary
+        # moments, as _ProductRows arguments.
+        self.interior_rows: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
         # Bit j of a model's closure bits is set iff subset j is in it.
         self.closure_bits = np.array(
@@ -372,10 +393,8 @@ def _fit_pattern(
     boundary = np.array(_from_mask(hit), dtype=int)
     (excluded,), _, _ = _support_reductions(ctx.zeta_bool[None, boundary], m_frac[None, boundary])
     n_excluded = int(excluded.sum())
-    # With nothing excluded, a slice keeps the full rows C-contiguous; an
-    # all-True mask would copy them into another layout, whose batched
-    # matmul rounds differently.
-    working = ~excluded if n_excluded else np.s_[:]
+    working = ~excluded
+    basis = ctx.zeta[:, working]
 
     saturated = boundary[m_frac[boundary] == 1.0] - 1
     sat_spins = np.bitwise_or.reduce(ctx.subset_spin_mask[saturated])
@@ -389,13 +408,21 @@ def _fit_pattern(
         probs[members[pinned]] = f
         valid[members[pinned]] = True
 
+    # Without a boundary moment every sample has the same batches.
+    interior = members.size == len(ctx.models)
     for d in np.unique(n_rows[~pinned]):
         batch = n_rows == d
         midx = members[batch]
-        rmat = ctx._row_matrix(collapsed[batch])
-        rows = ctx.zeta[rmat][:, :, working]
+        if interior and d in ctx.interior_rows:
+            rows = _ProductRows(basis, *ctx.interior_rows[d])
+        else:
+            rows = _ProductRows(basis, ctx._row_matrix(collapsed[batch]), ctx.union)
+            if interior:
+                # The arrays, not the rows object, which caches flat
+                # positions of 8 bytes per Jacobian entry once it runs.
+                ctx.interior_rows[d] = (rows.index, rows.union, rows.pairs)
         batch_p, _, done, _, _ = _newton_passes(
-            rows, m_frac[rmat], start=_seeds(ctx, midx, working, probs, valid)
+            rows, m_frac[rows.index], start=_seeds(ctx, midx, working, probs, valid)
         )
         done_idx = midx[done]
         block = np.zeros((done_idx.size, a))
@@ -490,7 +517,11 @@ def _run_task(ctx: _Context, realization: int, n: int, sample: int) -> dict:
         "valid": bool(table.valid[t_idx]),
     }
 
+    # The test samples' n * KL against each selected fit, in one
+    # expression per method with _scaled_kl's arithmetic on each row.
     g_weights = test_counts / n
+    g_observed = g_weights > 0
+    g_neg_entropy = xlogy(g_weights, g_weights).sum(axis=1)
     per_method = {}
     for method in config.methods:
         sel_cfg = SelectionConfig(method=method, alpha_prefactor=config.alpha_prefactor)
@@ -500,9 +531,8 @@ def _run_task(ctx: _Context, realization: int, n: int, sample: int) -> dict:
         )
         tp, fp = tp_fp_rates(ctx.models[sel], ctx.truth_model)
         log_p = _log_probs(table.probabilities[sel])
-        test_kls = np.array(
-            [_scaled_kl(g, log_p, n) for g in g_weights]
-        )
+        cross = (g_weights * np.where(g_observed, log_p, 0.0)).sum(axis=1)
+        test_kls = n * (g_neg_entropy - cross)
         per_method[method] = {
             "selected": ctx.models[sel].label,
             "selected_rank": int(table.rank_eff[sel]),
@@ -710,4 +740,117 @@ def summary_csv(report: BenchmarkReport) -> str:
             )
             for s in report.summary()
         ],
+    )
+
+
+#: Files of a written report, with the columns of each whose change is a
+#: change of selection (or of the truth's verdict).  The other columns
+#: past the key are floats.
+_REPORT_DISCRETE = {
+    "report.csv": ("selected", "selected_rank", "exact", "fallback", "tp_rate", "fp_rate"),
+    "truth.csv": ("rank", "passed", "valid"),
+    "summary.csv": (
+        "tasks", "accuracy", "fallback_rate", "mean_tp", "mean_fp", "frac_fp_positive",
+    ),
+}
+_REPORT_KEY = ("method", "n", "realization", "sample")
+
+
+@dataclass(frozen=True)
+class ReportDifference:
+    """One cell that differs between two written reports."""
+
+    file: str
+    key: str
+    column: str
+    a: str
+    b: str
+
+    def __str__(self) -> str:
+        return f"{self.file} {self.key} {self.column}: {self.a} -> {self.b}"
+
+
+@dataclass(frozen=True)
+class ReportComparison:
+    """The differences between two written reports, in three classes: a
+    changed selection (or a row only one report has), a float that moved
+    beyond ``rtol`` or became infinite, and a float that moved within
+    ``rtol``."""
+
+    rtol: float
+    selections: tuple[ReportDifference, ...]
+    beyond: tuple[ReportDifference, ...]
+    within: tuple[ReportDifference, ...]
+
+    @property
+    def same(self) -> bool:
+        """No difference beyond float moves within ``rtol``."""
+        return not (self.selections or self.beyond)
+
+    def lines(self) -> list[str]:
+        out = [f"selection changed: {d}" for d in self.selections]
+        out += [f"float beyond rtol {self.rtol:g}: {d}" for d in self.beyond]
+        out.append(
+            f"{len(self.selections)} selection changes, {len(self.beyond)} floats beyond "
+            f"rtol {self.rtol:g}, {len(self.within)} floats within it"
+        )
+        if self.within:
+            worst = max(self.within, key=lambda d: _relative_move(float(d.a), float(d.b)))
+            rel = _relative_move(float(worst.a), float(worst.b))
+            out.append(f"largest move within rtol: {rel:.2e} ({worst})")
+        return out
+
+
+def _relative_move(a: float, b: float) -> float:
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def _read_report(path: str) -> dict[str, dict[str, str]]:
+    """Rows of one report CSV keyed by their key columns."""
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    return {
+        " ".join(f"{k}={row[k]}" for k in _REPORT_KEY if k in row): row for row in rows
+    }
+
+
+def compare_reports(a: str, b: str, rtol: float = 1e-6) -> ReportComparison:
+    """Compare the report, truth and summary CSVs written to the
+    directories ``a`` and ``b`` (as ``maxentkit bench`` writes them).
+
+    Rows are matched by their (method, n, realization, sample) columns,
+    the ones each file has.  A float that differs counts as moved
+    within ``rtol`` when its relative change is at most ``rtol``; one
+    that becomes infinite or NaN counts as beyond it.
+    """
+    if not rtol >= 0.0:
+        raise InputError("rtol must be nonnegative")
+    found: dict[str, list[ReportDifference]] = defaultdict(list)
+    for name, discrete in _REPORT_DISCRETE.items():
+        rows_a = _read_report(os.path.join(a, name))
+        rows_b = _read_report(os.path.join(b, name))
+        for key in sorted(rows_a.keys() ^ rows_b.keys()):
+            found["selections"].append(ReportDifference(
+                name, key, "row", "present" if key in rows_a else "absent",
+                "present" if key in rows_b else "absent",
+            ))
+        for key, row_a in rows_a.items():
+            row_b = rows_b.get(key)
+            if row_b is None:
+                continue
+            for column, x in row_a.items():
+                y = row_b.get(column)
+                if column in _REPORT_KEY or x == y:
+                    continue
+                diff = ReportDifference(name, key, column, x, str(y))
+                if column in discrete or y is None:
+                    found["selections"].append(diff)
+                    continue
+                u, v = float(x), float(y)
+                if u == v or (math.isnan(u) and math.isnan(v)):
+                    continue
+                moved = math.isfinite(u) and math.isfinite(v) and _relative_move(u, v) <= rtol
+                found["within" if moved else "beyond"].append(diff)
+    return ReportComparison(
+        rtol, *(tuple(found[c]) for c in ("selections", "beyond", "within"))
     )

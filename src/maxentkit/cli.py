@@ -5,7 +5,7 @@ constraint system against data, ``select`` scores a candidate set and
 picks a model, ``enumerate`` lists every downward-closed spin model,
 ``sample`` draws synthetic counts from a random realization of a model,
 and ``bench`` runs the recovery benchmark and writes its plot-ready
-tables.
+tables, or compares two written reports (``--compare``).
 
 File formats
 ------------
@@ -17,9 +17,10 @@ product rows over bit-string microstates.  Counts are CSV with header
 ``microstate_label,count``; labels missing from a file are taken as
 zero with a warning.
 
-Exit codes are stable for scripting: 0 success, 2 unreadable or
-malformed input, 3 solver failure (the message names the offending
-constraint), 4 no solvable candidate during selection.
+Exit codes are stable for scripting: 0 success, 1 reports that differ
+under ``bench --compare``, 2 unreadable or malformed input, 3 solver
+failure (the message names the offending constraint), 4 no solvable
+candidate during selection.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ import numpy as np
 
 from .bench import (
     BenchmarkConfig,
+    compare_reports,
     report_csv,
     run_benchmark,
     summary_csv,
@@ -53,6 +55,7 @@ __all__ = ["main"]
 log = logging.getLogger(__name__)
 
 EXIT_OK = 0
+EXIT_DIFFERS = 1
 EXIT_INPUT = 2
 EXIT_SOLVER = 3
 EXIT_SELECTION = 4
@@ -303,6 +306,12 @@ def _default_threads() -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    if args.compare:
+        comparison = compare_reports(*args.compare)
+        print("\n".join(comparison.lines()))
+        return EXIT_OK if comparison.same else EXIT_DIFFERS
+    if not args.out_dir:
+        raise InputError("bench needs --out-dir, or --compare to compare two reports")
     fields = _load_json(args.config) if args.config else {}
     unknown = set(fields) - set(BenchmarkConfig.__dataclass_fields__)
     if unknown:
@@ -389,8 +398,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="run the architecture-recovery benchmark")
     bench.add_argument("--config", help="benchmark config JSON (defaults if omitted)")
-    bench.add_argument("--out-dir", required=True)
+    bench.add_argument("--out-dir", help="where the report CSVs and the task log go")
     bench.add_argument("--threads", type=int, default=None)
+    bench.add_argument(
+        "--compare", nargs=2, metavar=("DIR_A", "DIR_B"),
+        help="compare two written reports instead of running; exit 1 if a selection "
+        "changed or a float moved by more than 1e-6 relative",
+    )
     bench.set_defaults(func=_cmd_bench)
 
     return parser

@@ -41,6 +41,7 @@ from scipy.special import gammainc, gammaincc, xlogy
 from .constraints import (
     ArchitectureMatrix,
     CoefficientMatrix,
+    _derive,
     is_nested,
     nesting_map,
     to_architecture,
@@ -166,8 +167,32 @@ def _fit_for_f(
     :func:`fit_linear_system`; an architecture is its own canonical
     form.
     """
-    probs = prob_array(f)
-    return _fit_summary(fit_linear_system(candidate.with_moments(candidate.rows @ probs), options))
+    (system,) = _induced([candidate], prob_array(f))
+    return _fit_summary(fit_linear_system(system, options))
+
+
+def _induced(
+    candidates: Sequence[Union[ArchitectureMatrix, CoefficientMatrix]], probs: np.ndarray
+) -> list[Union[ArchitectureMatrix, CoefficientMatrix]]:
+    """The candidates on the moments the distribution ``probs`` induces.
+
+    ``probs`` is checked once; a coefficient system's moments then come
+    from finite rows and finite probabilities, so they go onto its form
+    as computed, without the copy and the checks of ``with_moments``.
+    An architecture keeps ``with_moments`` and its normalization
+    warning.
+    """
+    if probs.ndim != 1 or not np.all(np.isfinite(probs)):
+        raise InputError("probabilities must be a finite vector")
+    out = []
+    for candidate in candidates:
+        moments = candidate.rows @ probs
+        if isinstance(candidate, CoefficientMatrix):
+            moments.setflags(write=False)
+            out.append(_derive(CoefficientMatrix, candidate._form, moments))
+        else:
+            out.append(candidate.with_moments(moments))
+    return out
 
 
 def _fit_summary(fit: FitResult) -> tuple[np.ndarray, float, int, int]:
@@ -431,7 +456,7 @@ def _score_and_fit(
         raise InputError("need at least one candidate")
     probs = prob_array(f)
     h_f = entropy(probs)
-    batch = fit_linear_systems([c.with_moments(c.rows @ probs) for c in candidates], options)
+    batch = fit_linear_systems(_induced(candidates, probs), options)
     # The fits' entropies in one pass over their stacked probabilities;
     # each row's sum has the bits of entropy() on that row alone.
     solved = [fit.probabilities for fit in batch if isinstance(fit, FitResult)]
@@ -595,7 +620,8 @@ def _nesting_implies(
         if i not in architectures:
             cand = candidates[i]
             if isinstance(cand, CoefficientMatrix):
-                cand = to_architecture(cand.with_moments(cand.rows @ probs))
+                (cand,) = _induced([cand], probs)
+                cand = to_architecture(cand)
             architectures[i] = cand
         return architectures[i]
 

@@ -13,7 +13,20 @@ Each step multiplies the iterate by ``exp(-rows^T @ delta)`` where
 for a full-row-rank architecture and a strictly positive iterate the
 Jacobian is a Gram matrix and stays invertible, and the converged
 solution is of exponential form: its log lies in the row space of the
-architecture.  :func:`_newton_passes` runs a stack through up to three
+architecture.
+
+The kernel reads a stack's rows through one of two row forms with the
+same methods.  :class:`_DenseRows` is a ``(g, d, a)`` array of any real
+coefficients; the groups of :func:`fit_linear_systems` use it.
+:class:`_ProductRows` is for 0/1 spin-product rows, as the benchmark
+sweep fits: it holds one shared basis of product rows and each
+system's row indices, and since the product of two such rows is the
+row of the union of their subsets, one vector of all basis moments per
+system gives both its moments and its whole Jacobian.  The kernel keeps
+the rows, iterates and targets of the systems still iterating
+compacted, and compacts them only when systems leave.
+
+:func:`_newton_passes` runs a stack through up to three
 passes of the kernel: undamped; undamped again from uniform for the
 warm-started systems the first pass flags (singular, runaway or
 unconverged); and damped from uniform for the systems still flagged,
@@ -31,6 +44,7 @@ cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from collections import defaultdict
 from typing import Optional, Sequence, Union
 
@@ -556,17 +570,124 @@ def _solutions(
     ]
 
 
+class _DenseRows:
+    """A stack of row matrices, ``(g, d, a)``, of any real coefficients:
+    the rows of :func:`fit_linear_systems`.
+
+    The Newton kernel reads rows only through the methods below, which
+    :class:`_ProductRows` shares.  ``statistics(p)`` is what the
+    moments and the Jacobian at ``p`` are read from; here ``p`` itself.
+    """
+
+    def __init__(self, stack: np.ndarray) -> None:
+        # C order: the batched matmuls round by layout.
+        self.stack = np.ascontiguousarray(stack)
+        self.shape = self.stack.shape
+
+    def take(self, idx) -> "_DenseRows":
+        return _DenseRows(self.stack[idx])
+
+    def dense(self) -> np.ndarray:
+        return self.stack
+
+    def statistics(self, p: np.ndarray) -> np.ndarray:
+        return p
+
+    def moments(self, stats: np.ndarray) -> np.ndarray:
+        return (self.stack @ stats[:, :, None])[:, :, 0]
+
+    def jacobian(self, stats: np.ndarray) -> np.ndarray:
+        return (self.stack * stats[:, None, :]) @ self.stack.transpose(0, 2, 1)
+
+    def shift(self, delta: np.ndarray) -> np.ndarray:
+        return (self.stack.transpose(0, 2, 1) @ delta[:, :, None])[:, :, 0]
+
+
+class _ProductRows:
+    """A stack of systems of 0/1 product rows drawn from one shared
+    ``basis`` ``(b, a)``: system ``k`` has rows ``basis[index[k]]``.
+
+    The basis is closed under products, ``union[r, s]`` being the basis
+    row of ``basis[r] * basis[s]`` (the product row of a union of spin
+    subsets), so one vector of all ``b`` basis moments per system,
+    ``p @ basis.T``, holds both its moments and its whole Jacobian
+    ``J_rs = <basis[union[r, s]]>``, and the shift ``rows^T delta`` is
+    ``delta`` scattered over the basis, times the basis.  No
+    ``(g, d, a)`` row stack is built.
+    """
+
+    def __init__(
+        self, basis: np.ndarray, index: np.ndarray, union: np.ndarray,
+        pairs: Optional[np.ndarray] = None,
+    ) -> None:
+        self.basis, self.index, self.union = basis, index, union
+        # pairs[k, r, s]: the basis row of system k's rows r and s times
+        # each other; a taken stack gathers it instead.
+        self.pairs = union[index[:, :, None], index[:, None, :]] if pairs is None else pairs
+        self.shape = (*index.shape, basis.shape[1])
+
+    def take(self, idx) -> "_ProductRows":
+        return _ProductRows(self.basis, self.index[idx], self.union, self.pairs[idx])
+
+    def dense(self) -> np.ndarray:
+        return self.basis[self.index]
+
+    def _offsets(self) -> np.ndarray:
+        """Where each system's basis moments start in the flattened
+        ``(g, b)`` statistics."""
+        return self.basis.shape[0] * np.arange(len(self.index), dtype=np.intp)
+
+    # Flat positions into the (g, b) statistics, as intp: np.take over
+    # them is several times faster than a 2-D fancy index or int32
+    # positions.
+    @cached_property
+    def _flat_rows(self) -> np.ndarray:
+        return self.index + self._offsets()[:, None]
+
+    @cached_property
+    def _flat_pairs(self) -> np.ndarray:
+        return self.pairs + self._offsets()[:, None, None]
+
+    def statistics(self, p: np.ndarray) -> np.ndarray:
+        return p @ self.basis.T
+
+    def moments(self, stats: np.ndarray) -> np.ndarray:
+        return np.take(stats, self._flat_rows)
+
+    def jacobian(self, stats: np.ndarray) -> np.ndarray:
+        return np.take(stats, self._flat_pairs)
+
+    def shift(self, delta: np.ndarray) -> np.ndarray:
+        spread = np.zeros((len(delta), self.basis.shape[0]))
+        np.put(spread, self._flat_rows, delta)
+        return spread @ self.basis
+
+
+_Rows = Union[_DenseRows, _ProductRows]
+
+
+def _row_form(rows: Union[np.ndarray, _Rows]) -> _Rows:
+    """An array of rows ``(g, d, a)`` as :class:`_DenseRows`."""
+    return _DenseRows(rows) if isinstance(rows, np.ndarray) else rows
+
+
+def _moments(rows: _Rows, p: np.ndarray) -> np.ndarray:
+    return rows.moments(rows.statistics(p))
+
+
 def _newton_passes(
-    row_stack: np.ndarray,
+    row_stack: Union[np.ndarray, _Rows],
     target_stack: np.ndarray,
     options: Optional[SolveOptions] = None,
     start: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, dict[int, SolverError]]:
-    """Fit a stack of full-row-rank systems, rows ``(g, d, a)`` and
-    targets ``(g, d)``, by up to three passes of :func:`_newton_iterate`:
-    undamped from ``start`` (uniform when omitted); undamped from uniform
-    for the systems the first pass flags whose start was not uniform;
-    and damped from uniform for the systems still flagged.
+    """Fit a stack of full-row-rank systems, rows ``(g, d, a)`` (an
+    array, or one of the row forms :class:`_DenseRows` and
+    :class:`_ProductRows`) and targets ``(g, d)``, by up to three passes
+    of :func:`_newton_iterate`: undamped from ``start`` (uniform when
+    omitted); undamped from uniform for the systems the first pass flags
+    whose start was not uniform; and damped from uniform for the systems
+    still flagged.
 
     Each row of ``start`` must be strictly positive with its log in the
     row space of its system, as the fit of a sub-model's rows is; Newton
@@ -577,45 +698,46 @@ def _newton_passes(
     typed error of every system that did not converge.
     """
     opts = options or SolveOptions()
-    n_systems, _, n_states = row_stack.shape
+    rows = _row_form(row_stack)
+    n_systems, _, n_states = rows.shape
     uniform = 1.0 / n_states
     cap = min(opts.max_iterations or BATCH_ITERATIONS, BATCH_ITERATIONS)
     limits = (opts.tolerance, cap, _BATCH_OVERFLOW)
     p = np.full((n_systems, n_states), uniform) if start is None else np.array(start, dtype=float)
-    p, residuals, converged, steps = _newton_iterate(row_stack, target_stack, p, *limits)
+    p, residuals, converged, steps = _newton_iterate(rows, target_stack, p, *limits)
     flagged = np.flatnonzero(~converged)
     if start is not None and flagged.size:
         retry = flagged[(start[flagged] != uniform).any(axis=1)]
         if retry.size:
             p[retry], residuals[retry], converged[retry], steps[retry] = _newton_iterate(
-                row_stack[retry], target_stack[retry],
+                rows.take(retry), target_stack[retry],
                 np.full((retry.size, n_states), uniform), *limits,
             )
             flagged = np.flatnonzero(~converged)
     errors: dict[int, SolverError] = {}
     if flagged.size:
         (p[flagged], residuals[flagged], converged[flagged], steps[flagged],
-         damped_errors) = _damped_pass(row_stack[flagged], target_stack[flagged], opts)
+         damped_errors) = _damped_pass(rows.take(flagged), target_stack[flagged], opts)
         errors = {int(flagged[k]): exc for k, exc in damped_errors.items()}
     return p, residuals, converged, steps, errors
 
 
 def _damped_pass(
-    row_stack: np.ndarray, target_stack: np.ndarray, opts: SolveOptions
+    rows: _Rows, target_stack: np.ndarray, opts: SolveOptions
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, dict[int, SolverError]]:
     """The damped pass of :func:`_newton_passes`, from uniform, with a
     typed error for each system that does not converge."""
-    n_systems, _, n_states = row_stack.shape
+    n_systems, _, n_states = rows.shape
     cap, errors = opts.max_iterations or NEWTON_DEFAULT_ITERATIONS, {}
     fit = _newton_iterate(
-        row_stack, target_stack, np.full((n_systems, n_states), 1.0 / n_states),
+        rows, target_stack, np.full((n_systems, n_states), 1.0 / n_states),
         opts.tolerance, cap, _EXP_OVERFLOW, errors,
     )
     return (*fit, errors)
 
 
 def _newton_iterate(
-    row_stack: np.ndarray,
+    row_stack: Union[np.ndarray, _Rows],
     target_stack: np.ndarray,
     p: np.ndarray,
     tolerance: float,
@@ -634,41 +756,52 @@ def _newton_iterate(
     that reaches ``max_iterations`` is flagged (left unconverged).  With
     ``errors`` the pass is damped (see :func:`_damped_step`), and each
     system that stops unconverged gets its typed error there, by index.
+
+    The rows, iterates and targets of the systems still iterating are
+    kept compacted; a system's iterate goes back to ``p`` when it leaves.
     """
-    n_systems = row_stack.shape[0]
+    all_rows = rows = _row_form(row_stack)
+    n_systems = rows.shape[0]
     residuals = np.full(n_systems, np.inf)
     converged = np.zeros(n_systems, dtype=bool)
     steps = np.zeros(n_systems, dtype=int)
     active = np.arange(n_systems)
+    probs, targets = p, target_stack
+
+    def leave(gone: np.ndarray) -> None:
+        """Write the iterates of the systems at ``gone`` back to ``p``
+        and compact the rest."""
+        nonlocal active, rows, probs, targets, stats, diff
+        p[active[gone]] = probs[gone]
+        keep = np.ones(active.size, dtype=bool)
+        keep[gone] = False
+        active, rows, probs = active[keep], rows.take(keep), probs[keep]
+        targets, stats, diff = targets[keep], stats[keep], diff[keep]
 
     for it in range(max_iterations + 1):
         if active.size == 0:
             break
-        rows = row_stack[active]
-        probs = p[active]
-        moments = (rows @ probs[:, :, None])[:, :, 0]
-        diff = moments - target_stack[active]
+        stats = rows.statistics(probs)
+        moments = rows.moments(stats)
+        diff = moments - targets
         res = np.max(np.abs(diff), axis=1)
         done = res <= tolerance
         if done.any():
             near = np.flatnonzero(done)
             normalized = moments[near] / probs[near].sum(axis=1, keepdims=True)
             res[near] = np.maximum(
-                res[near],
-                np.max(np.abs(normalized - target_stack[active[near]]), axis=1),
+                res[near], np.max(np.abs(normalized - targets[near]), axis=1)
             )
             done[near] = res[near] <= tolerance
         residuals[active] = res
         if done.any():
             converged[active[done]] = True
             steps[active[done]] = it
-            keep = ~done
-            active = active[keep]
-            rows, probs, diff = rows[keep], probs[keep], diff[keep]
+            leave(np.flatnonzero(done))
         if active.size == 0 or it == max_iterations:
             break
 
-        jacobian = (rows * probs[:, None, :]) @ rows.transpose(0, 2, 1)
+        jacobian = rows.jacobian(stats)
         try:
             delta = np.linalg.solve(jacobian, diff[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
@@ -683,49 +816,49 @@ def _newton_iterate(
                 if errors is not None:
                     for i in active[singular].tolist():
                         errors[i] = SingularJacobianError(f"Jacobian singular at iteration {it}")
-                keep = ~singular
-                active = active[keep]
-                rows, probs, diff, delta = rows[keep], probs[keep], diff[keep], delta[keep]
+                delta = delta[~singular]
+                leave(np.flatnonzero(singular))
                 if active.size == 0:
                     continue
 
-        shift = (rows.transpose(0, 2, 1) @ delta[:, :, None])[:, :, 0]
+        shift = rows.shift(delta)
         if errors is not None:
-            stalled = _damped_step(rows, probs, diff, target_stack[active], shift, overflow)
-            p[active] = probs
+            stalled = _damped_step(rows, probs, diff, targets, shift, overflow)
             for k in stalled.tolist():
-                i = int(active[k])
-                errors[i] = _classify_failure(
-                    rows[k], target_stack[i], probs[k], diff[k], it + 1, tolerance
+                errors[int(active[k])] = _classify_failure(
+                    rows.take([k]).dense()[0], targets[k], probs[k], diff[k], it + 1, tolerance
                 )
-            active = np.delete(active, stalled)
+            if stalled.size:
+                leave(stalled)
             continue
         runaway = np.max(np.abs(shift), axis=1) > overflow
         if runaway.any():
-            keep = ~runaway
-            active = active[keep]
-            probs, shift = probs[keep], shift[keep]
+            shift = shift[~runaway]
+            leave(np.flatnonzero(runaway))
             if active.size == 0:
                 continue
-        p[active] = probs * np.exp(-shift)
+        probs = probs * np.exp(-shift)
 
+    p[active] = probs
     if errors is not None:
         # The systems left at the iteration cap.
         for k, i in enumerate(active.tolist()):
-            errors[i] = _classify_failure(rows[k], target_stack[i], p[i], diff[k], it, tolerance)
+            errors[i] = _classify_failure(
+                rows.take([k]).dense()[0], targets[k], probs[k], diff[k], it, tolerance
+            )
 
     if converged.any():
         idx = np.flatnonzero(converged)
         p[idx] /= p[idx].sum(axis=1, keepdims=True)
-        moments = (row_stack[idx] @ p[idx][:, :, None])[:, :, 0]
+        moments = _moments(all_rows.take(idx), p[idx])
         residuals[idx] = np.max(np.abs(moments - target_stack[idx]), axis=1)
 
     return p, residuals, converged, steps
 
 
 def _damped_step(
-    rows: np.ndarray, probs: np.ndarray, diff: np.ndarray, targets: np.ndarray,
-    shift: np.ndarray, overflow: float,
+    rows: _Rows, probs: np.ndarray, diff: np.ndarray,
+    targets: np.ndarray, shift: np.ndarray, overflow: float,
 ) -> np.ndarray:
     """Take each system's damped Newton step on ``probs``, in place: from
     the full step ``probs * exp(-shift)``, each system halves its own
@@ -744,7 +877,7 @@ def _damped_step(
         ok = np.isfinite(p_new).all(axis=1) & (p_new.min(axis=1) > 0.0)
         pos, p_new = pos[ok], p_new[ok]
         idx = pending[pos]
-        moments = (rows[idx] @ p_new[:, :, None])[:, :, 0]
+        moments = _moments(rows.take(idx), p_new)
         lower = np.max(np.abs(moments - targets[idx]), axis=1) < residual[idx]
         probs[idx[lower]] = p_new[lower]
         left = np.ones(pending.size, dtype=bool)

@@ -2,21 +2,32 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxentkit.bench import (
     BenchmarkConfig,
     _Context,
     _fit_all_models,
     _run_task,
+    compare_reports,
     report_csv,
     run_benchmark,
     summary_csv,
     truth_csv,
 )
+from maxentkit.constraints import _support_reductions
 from maxentkit.errors import InputError
 from maxentkit.ising import boltzmann, random_params, to_coefficients
 from maxentkit.selection import alpha_empirical, empirical_p_value
-from maxentkit.solver import fit_linear_system
+from maxentkit.solver import (
+    SolveOptions,
+    _DenseRows,
+    _newton_iterate,
+    _newton_passes,
+    _ProductRows,
+    fit_linear_system,
+)
 
 TINY = dict(
     n_spins=3,
@@ -305,3 +316,191 @@ class TestParents:
             bits_i, bits_j = int(ctx.closure_bits[i]), int(ctx.closure_bits[j])
             assert bits_j & bits_i == bits_j
             assert set(ctx.models[j].interactions) <= set(ctx.models[i].interactions)
+
+
+REPORT_HEADER = (
+    "method,n,realization,sample,selected,selected_rank,exact,fallback,"
+    "tp_rate,fp_rate,train_kl,test_kl\n"
+)
+TRUTH = "n,realization,sample,rank,p_value,alpha,passed,valid\n100,0,0,4,0.5,0.04,true,true\n"
+SUMMARY = (
+    "method,n,tasks,accuracy,fallback_rate,mean_tp,mean_fp,frac_fp_positive,"
+    "mean_train_kl,mean_test_kl\nbic,100,3,0.0,0.0,1.0,0.0,0.0,2.0,3.0\n"
+)
+
+
+def write_report(directory, rows):
+    directory.mkdir()
+    (directory / "report.csv").write_text(REPORT_HEADER + "".join(r + "\n" for r in rows))
+    (directory / "truth.csv").write_text(TRUTH)
+    (directory / "summary.csv").write_text(SUMMARY)
+    return str(directory)
+
+
+class TestCompareReports:
+    ROWS = [
+        "bic,100,0,0,1+2,3,false,false,1.0,0.0,2.0,3.0",
+        "bic,100,0,1,1.2,4,true,false,1.0,0.0,2.0,3.0",
+        "bic,100,0,2,1.2,4,true,false,1.0,0.0,inf,3.0",
+    ]
+
+    def test_one_difference_in_each_class(self, tmp_path):
+        a = write_report(tmp_path / "a", self.ROWS)
+        b = write_report(tmp_path / "b", [
+            "bic,100,0,0,1.2,4,true,false,1.0,0.0,2.0,3.0",
+            "bic,100,0,1,1.2,4,true,false,1.0,0.0,2.001,3.0",
+            "bic,100,0,2,1.2,4,true,false,1.0,0.0,inf,3.000000001",
+        ])
+        result = compare_reports(a, b, rtol=1e-6)
+        assert [(d.key, d.column) for d in result.selections] == [
+            ("method=bic n=100 realization=0 sample=0", column)
+            for column in ("selected", "selected_rank", "exact")
+        ]
+        assert [(d.key[-8:], d.column, d.a, d.b) for d in result.beyond] == [
+            ("sample=1", "train_kl", "2.0", "2.001"),
+        ]
+        assert [(d.key[-8:], d.column) for d in result.within] == [("sample=2", "test_kl")]
+        assert not result.same
+        assert compare_reports(a, b, rtol=1e-2).beyond == ()
+
+    def test_floats_that_become_infinite_or_rows_that_vanish(self, tmp_path):
+        a = write_report(tmp_path / "a", self.ROWS)
+        b = write_report(tmp_path / "b", [self.ROWS[0].replace("2.0,3.0", "inf,3.0")])
+        result = compare_reports(a, b, rtol=1.0)
+        assert [(d.column, d.b) for d in result.beyond] == [("train_kl", "inf")]
+        assert [(d.key[-8:], d.column, d.b) for d in result.selections] == [
+            ("sample=1", "row", "absent"), ("sample=2", "row", "absent"),
+        ]
+
+    def test_identical_reports(self, tmp_path, tiny_report):
+        dirs = []
+        for name in ("a", "b"):
+            directory = tmp_path / name
+            directory.mkdir()
+            for file, write in (("report.csv", report_csv), ("truth.csv", truth_csv),
+                                ("summary.csv", summary_csv)):
+                (directory / file).write_text(write(tiny_report))
+            dirs.append(str(directory))
+        result = compare_reports(*dirs)
+        assert result.same and not result.within
+        assert result.lines() == [
+            "0 selection changes, 0 floats beyond rtol 1e-06, 0 floats within it"
+        ]
+
+
+def pattern_rows(ctx, counts, bits):
+    """The product rows a sweep pattern fits, as ``_fit_pattern`` builds
+    them: the row indices of the closure ``bits`` cut by the saturated
+    spins of the counts, one stack per row count, and the working states
+    their boundary moments leave."""
+    n = int(counts.sum())
+    m_counts = ctx.zeta_int @ counts
+    boundary = 1 + np.flatnonzero((m_counts[1:] == 0) | (m_counts[1:] == n))
+    m_frac = m_counts / n
+    (excluded,), _, _ = _support_reductions(ctx.zeta_bool[None, boundary], m_frac[None, boundary])
+    saturated = boundary[m_frac[boundary] == 1.0] - 1
+    sat_spins = np.bitwise_or.reduce(ctx.subset_spin_mask[saturated])
+    collapsed = ctx._collapse(np.array(bits, dtype=np.int64), sat_spins)
+    n_rows = ctx._members(collapsed).sum(axis=1)
+    stacks = [ctx._row_matrix(collapsed[n_rows == d]) for d in np.unique(n_rows)]
+    return stacks, ~excluded
+
+
+class TestProductRows:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        counts=st.lists(st.integers(0, 3), min_size=32, max_size=32).filter(any),
+        # Closure bits of one bit count, so that stacks of several
+        # systems are common; collapsing may still split them.
+        subsets=st.integers(1, 31).flatmap(lambda k: st.lists(
+            st.sets(st.integers(0, 30), min_size=k, max_size=k), min_size=1, max_size=6)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_moments_jacobian_and_shift_match_dense_rows(
+        self, five_spin_ctx, counts, subsets, seed
+    ):
+        ctx = five_spin_ctx
+        bits = [sum(1 << j for j in s) for s in subsets]
+        stacks, working = pattern_rows(ctx, np.array(counts, dtype=np.int64), bits)
+        rng = np.random.default_rng(seed)
+        for rmat in stacks:
+            product = _ProductRows(ctx.zeta[:, working], rmat, ctx.union)
+            dense = _DenseRows(ctx.zeta[rmat][:, :, working])
+            assert np.array_equal(product.dense(), dense.stack)
+            p = rng.dirichlet(np.ones(working.sum()), size=len(rmat))
+            delta = rng.normal(size=rmat.shape)
+            self.check_forms_agree(product, p, delta)
+            reverse = np.arange(len(rmat))[::-1]
+            self.check_forms_agree(product.take(reverse), p[reverse], delta[reverse])
+
+    def test_interior_batches_built_once_fit_as_fresh_ones(self):
+        rng = np.random.default_rng(8)
+        q = rng.dirichlet(np.ones(32))
+        warm = _Context(BenchmarkConfig())
+        first, second = (rng.multinomial(10_000, q) for _ in range(2))
+        _fit_all_models(warm, first, 10_000)
+        cached = dict(warm.interior_rows)
+        assert cached
+        reused = _fit_all_models(warm, second, 10_000)
+        assert all(warm.interior_rows[d] is rows for d, rows in cached.items())
+        fresh = _fit_all_models(_Context(BenchmarkConfig()), second, 10_000)
+        assert np.array_equal(reused.probabilities, fresh.probabilities)
+        assert np.array_equal(reused.valid, fresh.valid)
+
+    @staticmethod
+    def check_forms_agree(rows, p, delta):
+        twin = _DenseRows(rows.dense())
+        stats, twin_stats = rows.statistics(p), twin.statistics(p)
+        for mine, theirs in (
+            (rows.moments(stats), twin.moments(twin_stats)),
+            (rows.jacobian(stats), twin.jacobian(twin_stats)),
+            (rows.shift(delta), twin.shift(delta)),
+        ):
+            assert mine.shape == theirs.shape
+            assert np.max(np.abs(mine - theirs), initial=0.0) <= 1e-13
+
+    def test_newton_passes_match_dense_rows(self):
+        """All three passes on both row forms: interior systems, one warm
+        start that runs away (the retry from uniform), one system only the
+        damped pass fits, and one with infeasible targets."""
+        ctx = _Context(BenchmarkConfig(n_spins=4, truth=((1, 2), (3,))))
+        bits = ctx.closure_bits[ctx._members(ctx.closure_bits).sum(axis=1) == 8]
+        rmat = ctx._row_matrix(bits)
+        product = _ProductRows(ctx.zeta, rmat, ctx.union)
+        dense = _DenseRows(product.dense())
+        assert [ctx.models[i].label for i in np.flatnonzero(
+            ctx.closure_bits == bits[3])] == ["1.2+1.3+2.3+2.4"]
+
+        def moments(theta):
+            log_q = ctx.zeta.T @ np.array(theta, dtype=float)
+            q = np.exp(log_q - log_q.max())
+            return ctx.zeta @ (q / q.sum())
+
+        targets = moments(np.random.default_rng(4).normal(0, 0.5, 16))[rmat]
+        # Couplings so strong that undamped Newton from uniform does not
+        # converge on system 3; system 5 is infeasible; system 7 starts far
+        # from its solution, with its log in its row space.
+        strong = [3, -8, -6, -37, 27, 17, -5, 12, 4, -8, 15, -5, -5, -12, 7, -1]
+        targets[3] = moments(strong)[rmat[3]]
+        targets[5, -1] = 1.5
+        start = np.full((len(rmat), 16), 1.0 / 16)
+        log_start = dense.stack[7].T @ np.r_[0.0, np.full(8, 25.0)]
+        start[7] = np.exp(log_start - log_start.max())
+        start[7] /= start[7].sum()
+        undamped = _newton_iterate(product, targets, start.copy(), 1e-10, 200, 200.0)[2]
+        assert np.flatnonzero(~undamped).tolist() == [3, 5, 7]
+
+        for options in (None, SolveOptions(max_iterations=3)):
+            p, residuals, converged, steps, errors = _newton_passes(
+                product, targets, options, start=start)
+            p_d, residuals_d, converged_d, steps_d, errors_d = _newton_passes(
+                dense, targets, options, start=start)
+            assert np.array_equal(converged, converged_d)
+            assert np.array_equal(steps, steps_d)
+            assert {k: type(e) for k, e in errors.items()} == {
+                k: type(e) for k, e in errors_d.items()}
+            assert np.max(np.abs(p - p_d)[converged], initial=0.0) <= 1e-12
+            assert np.max(np.abs(residuals - residuals_d)[converged], initial=0.0) <= 1e-12
+            if options is None:
+                assert list(errors) == [5]
+                assert converged[[3, 7]].all()

@@ -467,6 +467,42 @@ class TestBench:
         assert saved["threads"] == 2
 
 
+class TestBenchCompare:
+    HEADER = (
+        "method,n,realization,sample,selected,selected_rank,exact,fallback,"
+        "tp_rate,fp_rate,train_kl,test_kl\n"
+    )
+
+    def reports(self, tmp_path, train_kls):
+        dirs = []
+        for name, train_kl in zip("ab", train_kls):
+            directory = tmp_path / name
+            directory.mkdir()
+            write(directory / "report.csv",
+                  self.HEADER + f"bic,100,0,0,1.2,4,true,false,1.0,0.0,{train_kl},3.0\n")
+            write(directory / "truth.csv", "n,realization,sample,rank,p_value,alpha,passed,valid\n")
+            write(directory / "summary.csv", "method,n,tasks\n")
+            dirs.append(str(directory))
+        return dirs
+
+    def test_moves_within_rtol_pass(self, tmp_path, capsys):
+        a, b = self.reports(tmp_path, ("2.0", "2.000000001"))
+        assert main(["bench", "--compare", a, b]) == 0
+        out = capsys.readouterr().out
+        assert "0 selection changes, 0 floats beyond rtol 1e-06, 1 floats within it" in out
+
+    def test_moves_beyond_rtol_fail(self, tmp_path, capsys):
+        a, b = self.reports(tmp_path, ("2.0", "2.001"))
+        assert main(["bench", "--compare", a, b]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("float beyond rtol 1e-06: report.csv method=bic n=100 "
+                              "realization=0 sample=0 train_kl: 2.0 -> 2.001\n")
+
+    def test_needs_out_dir_or_compare(self, tmp_path):
+        assert main(["bench"]) == 2
+        assert main(["bench", "--compare", str(tmp_path), str(tmp_path / "missing")]) == 2
+
+
 class TestEntryPoint:
     def test_console_script(self):
         proc = subprocess.run(

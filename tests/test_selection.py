@@ -393,6 +393,17 @@ class TestValidation:
             SelectionConfig(alpha_prefactor=0.0)
         assert SelectionConfig().method == "bic"
 
+    def test_non_finite_distribution(self):
+        # The induced moments are derived without with_moments' checks,
+        # so the distribution they come from is checked once instead.
+        f = np.array(F5)
+        f[2] = np.nan
+        for candidates in ([on_f5([1, 0, 1, 0, 1])], [to_architecture(on_f5([1, 0, 1, 0, 1]))]):
+            with pytest.raises(InputError, match="finite"):
+                select(candidates, f, 100, SelectionConfig())
+            with pytest.raises(InputError, match="finite"):
+                empirical_p_value(candidates[0], f, 100)
+
     def test_error_estimate(self):
         with pytest.raises(InputError):
             ErrorEstimate(mean=1.0, std_error=0.1, trials=0)
