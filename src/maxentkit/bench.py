@@ -32,10 +32,10 @@ row space).  A model whose parent is not fitted yet starts from
 uniform.  Warm-started systems the batch flags (singular, runaway, or
 unconverged) are restarted once from uniform, and those still flagged
 get the damped pass (see :func:`~maxentkit.solver._newton_passes`);
-systems that pass cannot fit, and the models whose working space is
-fully pinned, are refitted together on dense rows by
+systems that pass cannot fit are refitted together on dense rows by
 :func:`~maxentkit.solver.fit_linear_systems`, and a model that still
-fails is dropped from that sample's candidate set with a warning.
+fails is dropped from that sample's candidate set with a warning.  A
+model whose rows pin its working space is fitted by the sample itself.
 
 Every task (realization, sample size, sample index) reseeds its own
 generator from the configured seed, so reports are reproducible
@@ -383,8 +383,8 @@ def _fit_pattern(
     its non-saturated part and duplicates merge; the empty pattern
     collapses nothing.  The reduced rows stay independent, which keeps
     the batch solver applicable.  A model that pins its working space
-    is the sample itself when nothing is excluded, and is left to the
-    fallback otherwise.  Batches run in increasing rank, so a parent in
+    is the sample itself: ``f`` is zero on every excluded state and
+    meets every moment.  Batches run in increasing rank, so a parent in
     the same pattern is fitted before its children and can seed them.
     """
     a = ctx.n_states
@@ -402,11 +402,8 @@ def _fit_pattern(
     n_rows = 1 + ctx._members(collapsed).sum(axis=1)
     rank_eff[members] = n_rows + n_excluded
     pinned = n_rows >= a - n_excluded
-    if n_excluded:
-        robust.extend(members[pinned].tolist())
-    else:
-        probs[members[pinned]] = f
-        valid[members[pinned]] = True
+    probs[members[pinned]] = f
+    valid[members[pinned]] = True
 
     # Without a boundary moment every sample has the same batches.
     interior = members.size == len(ctx.models)
@@ -467,14 +464,14 @@ def _log_probs(p: np.ndarray) -> np.ndarray:
     return out
 
 
-def _scaled_kl(weights: np.ndarray, log_p: np.ndarray, n: int) -> float:
-    """``n * KL(weights || p)`` with an honest infinity when ``p``
-    excludes observed states."""
+def _scaled_kl(weights: np.ndarray, log_p: np.ndarray, n: int) -> np.ndarray:
+    """``n * KL(w || p)`` for each row ``w`` of ``weights``, with an
+    honest infinity when ``p`` excludes observed states."""
     # Masking log_p (not the product) keeps 0 * -inf out of the
     # arithmetic while letting weight > 0 against an excluded state
     # still produce the infinite divergence it deserves.
-    cross = (weights * np.where(weights > 0, log_p, 0.0)).sum()
-    return float(n * (xlogy(weights, weights).sum() - cross))
+    cross = (weights * np.where(weights > 0, log_p, 0.0)).sum(axis=-1)
+    return n * (xlogy(weights, weights).sum(axis=-1) - cross)
 
 
 def _run_task(ctx: _Context, realization: int, n: int, sample: int) -> dict:
@@ -517,11 +514,7 @@ def _run_task(ctx: _Context, realization: int, n: int, sample: int) -> dict:
         "valid": bool(table.valid[t_idx]),
     }
 
-    # The test samples' n * KL against each selected fit, in one
-    # expression per method with _scaled_kl's arithmetic on each row.
-    g_weights = test_counts / n
-    g_observed = g_weights > 0
-    g_neg_entropy = xlogy(g_weights, g_weights).sum(axis=1)
+    test_weights = test_counts / n
     per_method = {}
     for method in config.methods:
         sel_cfg = SelectionConfig(method=method, alpha_prefactor=config.alpha_prefactor)
@@ -531,8 +524,6 @@ def _run_task(ctx: _Context, realization: int, n: int, sample: int) -> dict:
         )
         tp, fp = tp_fp_rates(ctx.models[sel], ctx.truth_model)
         log_p = _log_probs(table.probabilities[sel])
-        cross = (g_weights * np.where(g_observed, log_p, 0.0)).sum(axis=1)
-        test_kls = n * (g_neg_entropy - cross)
         per_method[method] = {
             "selected": ctx.models[sel].label,
             "selected_rank": int(table.rank_eff[sel]),
@@ -540,8 +531,8 @@ def _run_task(ctx: _Context, realization: int, n: int, sample: int) -> dict:
             "fallback": bool(fallback),
             "tp_rate": tp,
             "fp_rate": fp,
-            "train_kl": _scaled_kl(q, log_p, n),
-            "test_kl": float(test_kls.mean()),
+            "train_kl": float(_scaled_kl(q, log_p, n)),
+            "test_kl": float(_scaled_kl(test_weights, log_p, n).mean()),
         }
 
     return {

@@ -123,7 +123,9 @@ class _RowForm:
 
     @cached_property
     def pivot_columns(self) -> np.ndarray:
-        pivots = (self.matrix != 0.0).argmax(axis=1)
+        """Each row's first column holding more than 1e-12 in magnitude,
+        0 for a zero row: the pivots :meth:`check_rref` validates."""
+        pivots = (np.abs(self.matrix) > 1e-12).argmax(axis=1)
         pivots.setflags(write=False)
         return pivots
 
@@ -134,7 +136,7 @@ class _RowForm:
     def check_rref(self) -> None:
         """Raise :class:`InputError` unless the matrix is in RREF."""
         if not self._rref_checked:
-            _validate_rref(self.matrix)
+            _validate_rref(self.matrix, self.pivot_columns)
             self._rref_checked = True
 
     def within(self, other: "_RowForm") -> bool:
@@ -259,12 +261,13 @@ class ArchitectureMatrix:
     def pivot_columns(self) -> np.ndarray:
         return self._form.pivot_columns
 
-    def same_model(self, other: "ArchitectureMatrix", tol: float = 1e-9) -> bool:
-        """Whether two canonical systems describe the same model."""
+    def same_model(self, other: "ArchitectureMatrix") -> bool:
+        """Whether two canonical systems describe the same model: equal
+        rows and moments within 1e-9."""
         return (
             self.rows.shape == other.rows.shape
-            and bool(np.all(np.abs(self.rows - other.rows) <= tol))
-            and bool(np.all(np.abs(self.moments - other.moments) <= tol))
+            and bool(np.all(np.abs(self.rows - other.rows) <= 1e-9))
+            and bool(np.all(np.abs(self.moments - other.moments) <= 1e-9))
         )
 
 
@@ -294,18 +297,17 @@ def _architecture(
     return _derive(ArchitectureMatrix, form, moments)
 
 
-def _validate_rref(rows: np.ndarray) -> None:
+def _validate_rref(rows: np.ndarray, pivots: np.ndarray) -> None:
     """Raise at the first row, in order, that is zero, does not advance
-    the pivot, has a pivot other than one, or shares its pivot column."""
-    nonzero = np.abs(rows) > 1e-12
-    pivots = nonzero.argmax(axis=1)
+    the pivot, has a pivot other than one, or shares its pivot column;
+    ``pivots`` are the rows' :attr:`_RowForm.pivot_columns`."""
     block = rows[:, pivots]
     advances = np.ones(pivots.size, dtype=bool)
     advances[1:] = pivots[1:] > pivots[:-1]
     # (zero row, pivot not advancing, pivot not one, column shared) per
     # row; a shared column only counts once the pivot itself is one.
     failures = np.array([
-        ~nonzero.any(axis=1),
+        np.abs(block.diagonal()) <= 1e-12,
         ~advances,
         np.abs(block.diagonal() - 1.0) > 1e-9,
         np.count_nonzero(np.abs(block) > 1e-9, axis=0) > 1,
@@ -557,37 +559,16 @@ def kernel_basis(
     return KernelBasis(null.T, Distribution(probs))
 
 
-def _nesting_matrix(
-    simple: ArchitectureMatrix, complex_: ArchitectureMatrix, tol: float
-) -> Optional[np.ndarray]:
-    """``matrix`` with ``simple == matrix @ complex_``, rows and moments
-    within ``tol``, or ``None``.
-
-    The pivot columns of ``complex_`` hold the identity, so the only
-    candidate for ``matrix`` is ``simple``'s entries in those columns.
-    """
-    _check_same_space(simple, complex_)
-    if simple.rank > complex_.rank:
-        return None
-    matrix = simple.rows[:, complex_.pivot_columns]
-    if _max_abs(simple.rows - matrix @ complex_.rows) > tol:
-        return None
-    if _max_abs(simple.moments - matrix @ complex_.moments) > tol:
-        return None
-    return matrix
-
-
-def _check_same_space(simple: ArchitectureMatrix, complex_: ArchitectureMatrix) -> None:
-    if simple.n_states != complex_.n_states:
-        raise InputError("architectures must share one microstate space")
-
-
 def is_nested(simple: ArchitectureMatrix, complex_: ArchitectureMatrix) -> bool:
     """Whether every constraint of ``simple``, moments included, is
-    implied by ``complex_`` within :data:`NESTING_TOL`; the test of
-    :func:`nesting_map` without building the map.  Its rows part is
-    kept per pair of row forms (see :meth:`_RowForm.within`)."""
-    _check_same_space(simple, complex_)
+    implied by ``complex_`` within :data:`NESTING_TOL`.
+
+    The rows part is :meth:`_RowForm.within`, kept per pair of row
+    forms; the moments must then factor through the same coefficients,
+    ``simple``'s entries in the pivot columns of ``complex_``.
+    """
+    if simple.n_states != complex_.n_states:
+        raise InputError("architectures must share one microstate space")
     if not simple._form.within(complex_._form):
         return False
     matrix = simple.rows[:, complex_.pivot_columns]
@@ -595,20 +576,17 @@ def is_nested(simple: ArchitectureMatrix, complex_: ArchitectureMatrix) -> bool:
 
 
 def nesting_map(
-    simple: ArchitectureMatrix,
-    complex_: ArchitectureMatrix,
-    *,
-    tol: float = NESTING_TOL,
+    simple: ArchitectureMatrix, complex_: ArchitectureMatrix
 ) -> Optional[NestingMap]:
     """Factor ``simple`` through ``complex_`` if the models are nested.
 
     Returns a :class:`NestingMap` with
-    ``simple.rows == map.matrix @ complex_.rows`` when every constraint
-    of ``simple`` is implied by ``complex_`` (including the moments), and
-    ``None`` otherwise.
+    ``simple.rows == map.matrix @ complex_.rows`` when :func:`is_nested`
+    holds, and ``None`` otherwise.
     """
-    matrix = _nesting_matrix(simple, complex_, tol)
-    return None if matrix is None else NestingMap(matrix)
+    if not is_nested(simple, complex_):
+        return None
+    return NestingMap(simple.rows[:, complex_.pivot_columns])
 
 
 @dataclass(frozen=True)
@@ -633,7 +611,7 @@ class SupportReduction:
 
 
 def _support_reductions(
-    supports: np.ndarray, moments: np.ndarray, ztol: float = MOMENT_ZERO_TOL
+    supports: np.ndarray, moments: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, dict[int, Union[InputError, InfeasibleMomentsError]]]:
     """The exclusion cascade of a stack of binary systems.
 
@@ -646,8 +624,8 @@ def _support_reductions(
     whose moments leave ``[0, 1]`` (:class:`InputError`) or that the
     exclusions prove infeasible (:class:`InfeasibleMomentsError`).
     """
-    is_zero = moments <= ztol
-    is_one = moments >= 1.0 - ztol
+    is_zero = moments <= MOMENT_ZERO_TOL
+    is_one = moments >= 1.0 - MOMENT_ZERO_TOL
     excluded = (supports & is_zero[:, :, None]).any(axis=1) | (
         ~supports & is_one[:, :, None]
     ).any(axis=1)
@@ -656,7 +634,7 @@ def _support_reductions(
     fractional = ~(is_zero | is_one)
     empty = fractional & (surviving == 0)
     covering = fractional & (surviving == working.sum(axis=1)[:, None])
-    out_of_range = ((moments < -ztol) | (moments > 1.0 + ztol)).any(axis=1)
+    out_of_range = ((moments < -MOMENT_ZERO_TOL) | (moments > 1.0 + MOMENT_ZERO_TOL)).any(axis=1)
     contradicts = empty | covering
     errors: dict[int, Union[InputError, InfeasibleMomentsError]] = {}
     for k in np.flatnonzero(out_of_range | contradicts.any(axis=1) | excluded.all(axis=1)).tolist():
@@ -675,12 +653,7 @@ def _support_reductions(
     return excluded, ~is_zero & (surviving > 0), errors
 
 
-def reduce_binary_support(
-    rows: np.ndarray,
-    moments: np.ndarray,
-    *,
-    ztol: float = MOMENT_ZERO_TOL,
-) -> SupportReduction:
+def reduce_binary_support(rows: np.ndarray, moments: np.ndarray) -> SupportReduction:
     """Remove states pinned to zero probability by binary moments.
 
     A binary row with target moment zero forces every state of its
@@ -702,7 +675,7 @@ def reduce_binary_support(
     m = np.asarray(moments, dtype=float)
     if not np.all((mat == 0.0) | (mat == 1.0)):
         raise InputError("support reduction requires binary rows")
-    (excluded,), (kept,), errors = _support_reductions((mat == 1.0)[None], m[None], ztol)
+    (excluded,), (kept,), errors = _support_reductions((mat == 1.0)[None], m[None])
     if errors:
         raise errors[0]
     kept_rows = np.flatnonzero(kept)

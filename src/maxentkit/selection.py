@@ -43,8 +43,6 @@ from .constraints import (
     CoefficientMatrix,
     _derive,
     is_nested,
-    nesting_map,
-    to_architecture,
 )
 from .errors import (
     ConvergenceError,
@@ -240,7 +238,7 @@ def lrt_p_value(
     freedom.  Equal ranks give dof zero, hence p-value one, and a
     saturated ``complex_`` reduces to :func:`empirical_p_value`.
     """
-    if nesting_map(simple, complex_) is None:
+    if not is_nested(simple, complex_):
         raise NotNestedError("simple architecture is not implied by the complex one")
     probs = prob_array(f)
     _, h_simple, rank_simple, _ = _fit_for_f(simple, probs, options)
@@ -595,42 +593,27 @@ def _select_columns(
 def _nesting_implies(
     candidates: Sequence[Union[ArchitectureMatrix, CoefficientMatrix]],
     valid: np.ndarray,
-    probs: np.ndarray,
 ) -> Callable[[int, int], bool]:
-    """Nesting among the solvable candidates on their full-space
-    canonical forms, moments induced by ``probs`` for coefficient
-    systems.
+    """Nesting among the solvable candidates, read from their canonical
+    rows alone: a coefficient system's RREF, an architecture's own rows.
 
-    Between two coefficient systems the canonical rows alone decide, so
-    the test is the rows part kept on their forms across samples.  The
-    canonical moments are ``S f`` and ``C f`` for canonical rows ``S``
-    and ``C`` (up to roundoff), so with ``M`` the coefficients of the
-    rows test, ``|S f - M C f| <= max|S - M C| * ||f||_1 = max|S - M C|``:
-    the moments part holds whenever the rows part does.  A pair with a
-    given architecture is tested in full by :func:`is_nested`.
+    :meth:`~maxentkit.constraints._RowForm.within` keeps each answer on
+    the forms, across samples.  :func:`select` fits every candidate on
+    the moments induced by one ``f``, an architecture's own moments
+    ignored, so the canonical moments are ``S f`` and ``C f`` for
+    canonical rows ``S`` and ``C`` (up to roundoff).  With ``M`` the
+    coefficients of the rows test,
+    ``|S f - M C f| <= max|S - M C| * ||f||_1 = max|S - M C|``: the
+    moments part of :func:`is_nested` holds whenever the rows part does.
     """
-    valid = valid.tolist()
     forms = [
-        cand._form.canonical if ok and isinstance(cand, CoefficientMatrix) else None
-        for cand, ok in zip(candidates, valid)
+        (cand._form.canonical if isinstance(cand, CoefficientMatrix) else cand._form)
+        if ok else None
+        for cand, ok in zip(candidates, valid.tolist())
     ]
-    architectures: dict[int, ArchitectureMatrix] = {}
-
-    def architecture(i: int) -> ArchitectureMatrix:
-        if i not in architectures:
-            cand = candidates[i]
-            if isinstance(cand, CoefficientMatrix):
-                (cand,) = _induced([cand], probs)
-                cand = to_architecture(cand)
-            architectures[i] = cand
-        return architectures[i]
 
     def implies(i: int, j: int) -> bool:
-        if not (valid[i] and valid[j]):
-            return False
-        if forms[i] is not None and forms[j] is not None:
-            return forms[i].within(forms[j])
-        return is_nested(architecture(i), architecture(j))
+        return forms[i] is not None and forms[j] is not None and forms[i].within(forms[j])
 
     return implies
 
@@ -648,16 +631,18 @@ def select(
     """Score all candidates and apply the configured procedure.
 
     Unsolvable candidates are dropped with a warning; if none survive,
-    :class:`NoSolvableCandidateError` is raised.  When no implication
-    oracle is supplied, nesting is decided from the candidates'
-    full-space canonical forms.
+    :class:`NoSolvableCandidateError` is raised.  Every candidate is
+    fitted on the moments ``f`` induces, an architecture's own moments
+    ignored.  When no implication oracle is supplied, nesting is
+    decided from the candidates' full-space canonical rows (see
+    :func:`_nesting_implies`), so the moments are ignored there too.
     """
     if ids is None:
         ids = list(range(len(candidates)))
     table, columns, valid, _ = _score_and_fit(candidates, f, n, ids, options)
 
     if implies is None and config.method == "hyper_maxent_lrt":
-        implies = _nesting_implies(candidates, valid, prob_array(f))
+        implies = _nesting_implies(candidates, valid)
 
     index, fallback = _select_columns(columns, valid, n, config, implies)
     return SelectionResult(

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maxentkit import bench
 from maxentkit.bench import (
     BenchmarkConfig,
     _Context,
     _fit_all_models,
     _run_task,
+    _scaled_kl,
     compare_reports,
     report_csv,
     run_benchmark,
@@ -27,6 +29,7 @@ from maxentkit.solver import (
     _newton_passes,
     _ProductRows,
     fit_linear_system,
+    fit_linear_systems,
 )
 
 TINY = dict(
@@ -252,6 +255,30 @@ class TestFitTableCrossValidation:
                 assert table.rank_eff[k] == fit.rank_effective
                 assert np.max(np.abs(p - fit.probabilities)) < 1e-7
 
+    def test_pinned_models_are_the_sample(self, monkeypatch):
+        """A model whose rows pin its working space is fitted by ``f``
+        itself, also when a zero product count excludes states, and never
+        reaches the dense fallback."""
+        ctx = _Context(BenchmarkConfig(**TINY))
+        a = ctx.n_states
+        counts = np.array([5, 0, 3, 0, 0, 0, 2, 0], dtype=np.int64)
+        f = counts / counts.sum()
+        fallback_ranks = []
+
+        def fallback(systems):
+            fits = fit_linear_systems(systems)
+            fallback_ranks.extend(fit.rank_effective for fit in fits)
+            return fits
+
+        monkeypatch.setattr(bench, "fit_linear_systems", fallback)
+        table = _fit_all_models(ctx, counts, int(counts.sum()))
+        pinned = np.flatnonzero(table.rank_eff == a)
+        assert pinned.size
+        assert all(rank < a for rank in fallback_ranks)
+        for k in pinned:
+            assert table.valid[k]
+            assert np.array_equal(table.probabilities[k], f)
+
     def test_five_spin_warm_started_table(self, five_spin_ctx):
         """Warm starts along the parent chain must not move the five-spin
         fits away from independent scalar fits."""
@@ -302,6 +329,25 @@ class TestTruthScoring:
         assert truth["valid"] and truth["rank"] == rank
         assert truth["p_value"] == pytest.approx(empirical_p_value(system, f, n), rel=1e-6)
         assert truth["alpha"] == pytest.approx(alpha_empirical(32, rank, n), rel=1e-6)
+
+    def test_scaled_kl_rows_match_one_row_calls(self):
+        """The test samples' KLs, one per row, have the bits of the
+        train KL's one-row call; a sample observing a state the fit
+        excludes gets an infinite row."""
+        rng = np.random.default_rng(5)
+        p = rng.dirichlet(np.ones(8))
+        p[6] = 0.0
+        log_p = np.full(8, -np.inf)
+        np.log(p, out=log_p, where=p > 0)
+        counts = rng.multinomial(50, rng.dirichlet(np.ones(8)), size=4)
+        counts[:3, 6] = 0
+        counts[3, 6] = 2
+        weights = counts / 50
+        rows = _scaled_kl(weights, log_p, 50)
+        assert rows.shape == (4,)
+        for w, kl in zip(weights, rows.tolist()):
+            assert kl == _scaled_kl(w, log_p, 50)
+        assert np.isfinite(rows[:3]).all() and rows[3] == np.inf
 
 
 class TestParents:

@@ -397,6 +397,18 @@ class TestNestingMap:
         assert not is_nested(moved, complex_)
         assert is_nested(moved, complex_.with_moments(np.array([0.25, 0.35, 0.4, 0.0])))
 
+    def test_roundoff_left_of_a_pivot_is_not_the_pivot(self):
+        """Elimination leaves -3.5e-17 in column 1 of the second
+        canonical row; its pivot is column 2, as the RREF check has it,
+        and the architecture is nested in itself."""
+        arch = to_architecture(
+            CoefficientMatrix([[1, 1, 1, 1], [0.1, 0.7 / 7, 0.5, 0.9]], [1.0, 0.4])
+        )
+        assert 0.0 < abs(arch.rows[1, 1]) < 1e-12
+        assert arch.pivot_columns.tolist() == [0, 2]
+        assert is_nested(arch, arch)
+        assert np.array_equal(nesting_map(arch, arch).matrix, np.eye(2))
+
     def test_map_requires_full_rank(self):
         with pytest.raises(RankDeficiencyError):
             NestingMap(np.array([[1.0, 0.0], [2.0, 0.0]]))

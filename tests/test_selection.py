@@ -259,8 +259,8 @@ class TestLrtReusesCanonicalForms:
 
             calls = []
             monkeypatch.setattr(
-                selection, "to_architecture",
-                lambda system: calls.append(1) or to_architecture(system),
+                selection, "is_nested",
+                lambda simple, complex_: calls.append(1) or is_nested(simple, complex_),
             )
             reused = select(self.LIBRARY, f, n, config)
             monkeypatch.undo()
@@ -270,11 +270,58 @@ class TestLrtReusesCanonicalForms:
             )
             assert reused.chosen_index == expected.chosen_index
             assert reused.fallback == expected.fallback
-            # Nesting among coefficient systems reads their canonical
-            # rows alone, so no candidate is canonicalized again.
+            # Nesting reads the candidates' canonical rows alone, with no
+            # architecture built on the sample's moments.
             assert calls == []
             n_excluding = sum(bool(fit.excluded.any()) for fit in fits)
             assert (n_excluding > 0) == bool(empty)
+
+
+    def samples(self):
+        """Four samples of the truth, at n = 100 and 10 000."""
+        for seed, n in [(0, 100), (1, 100), (2, 10_000), (3, 10_000)]:
+            rng = np.random.default_rng(seed)
+            counts = rng.multinomial(n, boltzmann(random_params(self.TRUTH, rng)).probs)
+            yield counts / n, n
+
+    def test_architectures_nest_by_rows_not_their_own_moments(self):
+        """Each architecture is built on the moments of its own random
+        distribution.  ``select`` fits it on the sample's moments, and
+        nests it by its rows alone, so it selects like the same model
+        given as a coefficient system."""
+        rng = np.random.default_rng(0)
+        arches = [
+            to_architecture(c.with_moments(c.rows @ rng.dirichlet(np.ones(16))))
+            for c in self.LIBRARY
+        ]
+        config = SelectionConfig("hyper_maxent_lrt")
+        for f, n in self.samples():
+            chosen, expected = select(arches, f, n, config), select(self.LIBRARY, f, n, config)
+            assert (chosen.chosen_index, chosen.fallback) == (
+                expected.chosen_index, expected.fallback)
+
+    def test_mixed_list_nests_like_fresh_architectures(self):
+        """On a list of coefficient systems and architectures on unrelated
+        moments, nesting agrees with :func:`is_nested` on every
+        candidate's architecture on the sample's moments."""
+        rng = np.random.default_rng(1)
+        mixed = [
+            to_architecture(c.with_moments(c.rows @ rng.dirichlet(np.ones(16)))) if i % 2 else c
+            for i, c in enumerate(self.LIBRARY)
+        ]
+        f, _ = next(self.samples())
+        fresh = [
+            ArchitectureMatrix(c.rows.copy(), c.rows @ f) if i % 2
+            else to_architecture(CoefficientMatrix(c.rows.copy(), c.rows @ f))
+            for i, c in enumerate(mixed)
+        ]
+        implies = selection._nesting_implies(mixed, np.ones(len(mixed), dtype=bool))
+        nested = [(i, j) for i in range(len(mixed)) for j in range(len(mixed)) if implies(i, j)]
+        assert len(nested) > len(mixed)
+        assert nested == [
+            (i, j) for i in range(len(mixed)) for j in range(len(mixed))
+            if is_nested(fresh[i], fresh[j])
+        ]
 
 
 class TestCandidatesReusedAcrossSamples:
