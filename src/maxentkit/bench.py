@@ -53,11 +53,10 @@ import logging
 import math
 import os
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import xlogy
 
 from .constraints import CoefficientMatrix, _support_reductions
 from .errors import InputError, SolverError
@@ -71,8 +70,8 @@ from .ising import (
     random_params,
     tp_fp_rates,
 )
-from .selection import METHODS, SelectionConfig, alpha_empirical, score_arrays, select_arrays
-from .simplex import entropy
+from .selection import METHODS, SelectionConfig, _score_fits, alpha_empirical, select_arrays
+from .simplex import _log_probs, _scaled_kl
 from .solver import _newton_passes, _ProductRows, fit_linear_systems
 
 __all__ = [
@@ -126,6 +125,10 @@ class BenchmarkConfig:
             raise InputError("sample sizes must be at least 10")
         if not self.methods or any(m not in METHODS for m in self.methods):
             raise InputError(f"methods must be a subset of {METHODS}")
+        if len(set(self.sample_sizes)) < len(self.sample_sizes):
+            raise InputError("sample sizes must not repeat")
+        if len(set(self.methods)) < len(self.methods):
+            raise InputError("methods must not repeat")
         if self.alpha_prefactor <= 0.0:
             raise InputError("alpha_prefactor must be positive")
         if self.threads < 1:
@@ -317,7 +320,6 @@ class _FitTable:
     probabilities: np.ndarray
     rank_eff: np.ndarray
     valid: np.ndarray
-    n_failed: int
 
 
 def _fit_all_models(ctx: _Context, counts: np.ndarray, n: int) -> _FitTable:
@@ -349,16 +351,14 @@ def _fit_all_models(ctx: _Context, counts: np.ndarray, n: int) -> _FitTable:
     # lists set bits 1-based.
     rmats = [[0, *_from_mask(int(ctx.closure_bits[i]))] for i in robust]
     fits = fit_linear_systems([CoefficientMatrix(ctx.zeta[r], m_frac[r]) for r in rmats])
-    n_failed = 0
     for i, fit in zip(robust, fits):
         if isinstance(fit, SolverError):
             log.warning("candidate %s dropped for this sample: %s", ctx.models[i].label, fit)
-            n_failed += 1
             continue
         probs[i] = fit.probabilities
         rank_eff[i] = fit.rank_effective
         valid[i] = True
-    return _FitTable(probabilities=probs, rank_eff=rank_eff, valid=valid, n_failed=n_failed)
+    return _FitTable(probabilities=probs, rank_eff=rank_eff, valid=valid)
 
 
 def _fit_pattern(
@@ -458,22 +458,6 @@ def _seeds(
     return start
 
 
-def _log_probs(p: np.ndarray) -> np.ndarray:
-    out = np.full(p.shape, -np.inf)
-    np.log(p, out=out, where=p > 0)
-    return out
-
-
-def _scaled_kl(weights: np.ndarray, log_p: np.ndarray, n: int) -> np.ndarray:
-    """``n * KL(w || p)`` for each row ``w`` of ``weights``, with an
-    honest infinity when ``p`` excludes observed states."""
-    # Masking log_p (not the product) keeps 0 * -inf out of the
-    # arithmetic while letting weight > 0 against an excluded state
-    # still produce the infinite divergence it deserves.
-    cross = (weights * np.where(weights > 0, log_p, 0.0)).sum(axis=-1)
-    return n * (xlogy(weights, weights).sum(axis=-1) - cross)
-
-
 def _run_task(ctx: _Context, realization: int, n: int, sample: int) -> dict:
     config = ctx.config
     params_rng = np.random.default_rng(
@@ -489,29 +473,20 @@ def _run_task(ctx: _Context, realization: int, n: int, sample: int) -> dict:
     test_counts = rng.multinomial(n, q, size=config.test_samples)
 
     table = _fit_all_models(ctx, counts, n)
-    h_f = entropy(counts / n)
-    with np.errstate(invalid="ignore"):
-        h_hat = -xlogy(table.probabilities, table.probabilities).sum(axis=1)
-    a = ctx.n_states
-    _, p_value, bic_score, aic_score, _, deficit = score_arrays(
-        h_hat, h_f, table.rank_eff, a, n
+    # Names are built only for the candidates a warning names.
+    h_hat, _, p_value, bic_score, aic_score, valid = _score_fits(
+        table.probabilities, counts / n, table.rank_eff, n, lambda i: ctx.models[i].label
     )
-    bad = table.valid & deficit
-    for i in np.flatnonzero(bad):
-        log.warning(
-            "candidate %s dropped: entropy deficit %.3e", ctx.models[i].label, h_hat[i] - h_f
-        )
-    table.valid[bad] = False
-    table.n_failed += int(bad.sum())
 
+    a = ctx.n_states
     t_idx = ctx.truth_index
     t_alpha = alpha_empirical(a, int(table.rank_eff[t_idx]), n, config.alpha_prefactor)
     truth = {
         "rank": int(table.rank_eff[t_idx]),
-        "p_value": float(p_value[t_idx]) if table.valid[t_idx] else 0.0,
+        "p_value": float(p_value[t_idx]) if valid[t_idx] else 0.0,
         "alpha": t_alpha,
-        "passed": bool(table.valid[t_idx] and p_value[t_idx] >= t_alpha),
-        "valid": bool(table.valid[t_idx]),
+        "passed": bool(valid[t_idx] and p_value[t_idx] >= t_alpha),
+        "valid": bool(valid[t_idx]),
     }
 
     test_weights = test_counts / n
@@ -520,7 +495,7 @@ def _run_task(ctx: _Context, realization: int, n: int, sample: int) -> dict:
         sel_cfg = SelectionConfig(method=method, alpha_prefactor=config.alpha_prefactor)
         sel, fallback = select_arrays(
             table.rank_eff, h_hat, p_value, bic_score, aic_score,
-            table.valid, a, n, sel_cfg, ctx.implying,
+            valid, a, n, sel_cfg, ctx.implying,
         )
         tp, fp = tp_fp_rates(ctx.models[sel], ctx.truth_model)
         log_p = _log_probs(table.probabilities[sel])
@@ -541,7 +516,7 @@ def _run_task(ctx: _Context, realization: int, n: int, sample: int) -> dict:
         "sample": sample,
         "truth": truth,
         "methods": per_method,
-        "failed_models": table.n_failed,
+        "failed_models": int(valid.size - valid.sum()),
     }
 
 
@@ -567,27 +542,11 @@ def _assemble(
         for realization in range(config.n_realizations):
             for sample in range(config.n_samples):
                 res = results[(realization, n, sample)]
-                truth = res["truth"]
-                truth_rows.append(
-                    TruthRow(
-                        n=n, realization=realization, sample=sample,
-                        rank=truth["rank"], p_value=truth["p_value"],
-                        alpha=truth["alpha"], passed=truth["passed"],
-                        valid=truth["valid"],
-                    )
-                )
+                # The task's key columns: the report key past ``method``.
+                key = {k: res[k] for k in _REPORT_KEY[1:]}
+                truth_rows.append(TruthRow(**key, **res["truth"]))
                 for method in config.methods:
-                    m = res["methods"][method]
-                    rows.append(
-                        BenchmarkRow(
-                            method=method, n=n, realization=realization,
-                            sample=sample, selected=m["selected"],
-                            selected_rank=m["selected_rank"],
-                            exact=m["exact"], fallback=m["fallback"],
-                            tp_rate=m["tp_rate"], fp_rate=m["fp_rate"],
-                            train_kl=m["train_kl"], test_kl=m["test_kl"],
-                        )
-                    )
+                    rows.append(BenchmarkRow(method=method, **key, **res["methods"][method]))
     return BenchmarkReport(config=config, rows=tuple(rows), truth_rows=tuple(truth_rows))
 
 
@@ -683,55 +642,25 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _csv(header: Sequence[str], rows: Sequence[Sequence]) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+def _csv(row_type: type, rows: Sequence) -> str:
+    """One CSV table of ``rows``: a column per field of ``row_type``, in
+    field order."""
+    names = [field.name for field in fields(row_type)]
+    lines = [",".join(names)]
+    lines.extend(",".join(_fmt(getattr(row, k)) for k in names) for row in rows)
     return "\n".join(lines) + "\n"
 
 
 def report_csv(report: BenchmarkReport) -> str:
-    return _csv(
-        (
-            "method", "n", "realization", "sample", "selected",
-            "selected_rank", "exact", "fallback", "tp_rate", "fp_rate",
-            "train_kl", "test_kl",
-        ),
-        [
-            (
-                r.method, r.n, r.realization, r.sample, r.selected,
-                r.selected_rank, r.exact, r.fallback, r.tp_rate, r.fp_rate,
-                r.train_kl, r.test_kl,
-            )
-            for r in report.rows
-        ],
-    )
+    return _csv(BenchmarkRow, report.rows)
 
 
 def truth_csv(report: BenchmarkReport) -> str:
-    return _csv(
-        ("n", "realization", "sample", "rank", "p_value", "alpha", "passed", "valid"),
-        [
-            (r.n, r.realization, r.sample, r.rank, r.p_value, r.alpha, r.passed, r.valid)
-            for r in report.truth_rows
-        ],
-    )
+    return _csv(TruthRow, report.truth_rows)
 
 
 def summary_csv(report: BenchmarkReport) -> str:
-    return _csv(
-        (
-            "method", "n", "tasks", "accuracy", "fallback_rate", "mean_tp",
-            "mean_fp", "frac_fp_positive", "mean_train_kl", "mean_test_kl",
-        ),
-        [
-            (
-                s.method, s.n, s.tasks, s.accuracy, s.fallback_rate,
-                s.mean_tp, s.mean_fp, s.frac_fp_positive,
-                s.mean_train_kl, s.mean_test_kl,
-            )
-            for s in report.summary()
-        ],
-    )
+    return _csv(SummaryRow, report.summary())
 
 
 #: Files of a written report, with the columns of each whose change is a

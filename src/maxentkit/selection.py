@@ -50,15 +50,16 @@ from .errors import (
     NoSolvableCandidateError,
     NotNestedError,
     SolverError,
-    SupportViolationError,
 )
-from .simplex import Distribution, entropy, kl_divergence, multinomial_sample, prob_array
-from .solver import (
-    FitResult,
-    SolveOptions,
-    fit_linear_system,
-    fit_linear_systems,
+from .simplex import (
+    Distribution,
+    _log_probs,
+    _scaled_kl,
+    entropy,
+    multinomial_sample,
+    prob_array,
 )
+from .solver import SolveOptions, fit_linear_system, fit_linear_systems
 
 __all__ = [
     "ModelScore",
@@ -157,16 +158,17 @@ def _fit_for_f(
     candidate: Union[ArchitectureMatrix, CoefficientMatrix],
     f: Union[Distribution, np.ndarray],
     options: Optional[SolveOptions],
-) -> tuple[np.ndarray, float, int, int]:
+) -> tuple[float, int, int]:
     """Fit a candidate on the moments induced by ``f``.
 
-    Returns the full-space probabilities, their entropy, the effective
-    rank, and the full state count.  Both kinds of candidate go through
+    Returns the fit's entropy, its effective rank, and the full state
+    count.  Both kinds of candidate go through
     :func:`fit_linear_system`; an architecture is its own canonical
     form.
     """
     (system,) = _induced([candidate], prob_array(f))
-    return _fit_summary(fit_linear_system(system, options))
+    fit = fit_linear_system(system, options)
+    return entropy(fit.probabilities), fit.rank_effective, fit.n_states
 
 
 def _induced(
@@ -193,10 +195,6 @@ def _induced(
     return out
 
 
-def _fit_summary(fit: FitResult) -> tuple[np.ndarray, float, int, int]:
-    return fit.probabilities, entropy(fit.probabilities), fit.rank_effective, fit.n_states
-
-
 def _entropies(
     candidate: Union[ArchitectureMatrix, CoefficientMatrix],
     f: Union[Distribution, np.ndarray],
@@ -204,7 +202,7 @@ def _entropies(
 ) -> tuple[float, float, int, int]:
     """One candidate's ``h_hat, h_f, rank, n_states`` for :func:`score_arrays`."""
     probs = prob_array(f)
-    _, h_hat, rank_eff, n_states = _fit_for_f(candidate, probs, options)
+    h_hat, rank_eff, n_states = _fit_for_f(candidate, probs, options)
     return h_hat, entropy(probs), rank_eff, n_states
 
 
@@ -241,8 +239,8 @@ def lrt_p_value(
     if not is_nested(simple, complex_):
         raise NotNestedError("simple architecture is not implied by the complex one")
     probs = prob_array(f)
-    _, h_simple, rank_simple, _ = _fit_for_f(simple, probs, options)
-    _, h_complex, rank_complex, _ = _fit_for_f(complex_, probs, options)
+    h_simple, rank_simple, _ = _fit_for_f(simple, probs, options)
+    h_complex, rank_complex, _ = _fit_for_f(complex_, probs, options)
     # The complex fit stands in for f, and its rank for the state count.
     return _p_value(h_simple, h_complex, rank_simple, rank_complex, n)
 
@@ -438,6 +436,32 @@ def score_candidates(
     return [next(rows) if ok else None for ok in valid], h_f
 
 
+def _score_fits(
+    fits: np.ndarray,
+    f: np.ndarray,
+    rank: np.ndarray,
+    n: int,
+    name: Callable[[int], object],
+) -> tuple[np.ndarray, float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Score a table of fits to the empirical distribution ``f`` of
+    ``n`` samples: one row of probabilities per candidate, NaN where
+    its fit failed, and its effective rank.
+
+    Returns ``(h_hat, h_f, p_value, bic, aic, valid)``: the rows'
+    entropies (each row's sum has the bits of :func:`entropy` on that
+    row alone), the entropy of ``f``, the :func:`score_arrays` columns,
+    and the mask of candidates with a fit and no entropy deficit.  Each
+    deficit is logged as a failure of candidate ``name(i)``.
+    """
+    h_f = entropy(f)
+    with np.errstate(invalid="ignore"):
+        h_hat = -xlogy(fits, fits).sum(axis=1)
+    _, p_value, bic_score, aic_score, _, deficit = score_arrays(h_hat, h_f, rank, f.size, n)
+    for i in np.flatnonzero(deficit):
+        log.warning("candidate %s failed to solve: %s", name(i), _deficit_error(h_hat[i] - h_f))
+    return h_hat, h_f, p_value, bic_score, aic_score, ~np.isnan(h_hat) & ~deficit
+
+
 def _score_and_fit(
     candidates: Sequence[Union[ArchitectureMatrix, CoefficientMatrix]],
     f: Union[Distribution, np.ndarray],
@@ -453,28 +477,20 @@ def _score_and_fit(
     if not candidates:
         raise InputError("need at least one candidate")
     probs = prob_array(f)
-    h_f = entropy(probs)
     batch = fit_linear_systems(_induced(candidates, probs), options)
-    # The fits' entropies in one pass over their stacked probabilities;
-    # each row's sum has the bits of entropy() on that row alone.
-    solved = [fit.probabilities for fit in batch if isinstance(fit, FitResult)]
-    stack = np.reshape(solved, (len(solved), probs.size))
-    entropies = iter(-xlogy(stack, stack).sum(axis=1))
-    summaries = []
-    for cid, fit in zip(ids, batch):
+    fits = np.full((len(batch), probs.size), np.nan)  # a NaN row marks a failure
+    rank = np.zeros(len(batch), dtype=int)
+    for i, (cid, fit) in enumerate(zip(ids, batch)):
         if isinstance(fit, SolverError):
             log.warning("candidate %s failed to solve: %s", cid, fit)
-            summary = (math.nan, 0, 0)  # NaN marks the failure
         else:
-            summary = (float(next(entropies)), fit.rank_effective, fit.n_states)
-        summaries.append(summary)
-    h_hat, rank, n_states = (np.array(column) for column in zip(*summaries))
-    _, p_value, bic_score, aic_score, _, deficit = score_arrays(h_hat, h_f, rank, n_states, n)
-    for i in np.flatnonzero(deficit):
-        log.warning("candidate %s failed to solve: %s", ids[i], _deficit_error(h_hat[i] - h_f))
-    valid = ~np.isnan(h_hat) & ~deficit
+            fits[i] = fit.probabilities
+            rank[i] = fit.rank_effective
+    h_hat, h_f, p_value, bic_score, aic_score, valid = _score_fits(
+        fits, probs, rank, n, ids.__getitem__
+    )
     columns = dict(
-        rank=rank, n_states=n_states, maxent_entropy=h_hat,
+        rank=rank, n_states=np.full(rank.size, probs.size), maxent_entropy=h_hat,
         p_value=p_value, bic=bic_score, aic=aic_score,
     )
     table = ScoreTable(
@@ -670,15 +686,6 @@ class ErrorEstimate:
             raise InputError("std_error must be nonnegative")
 
 
-def _kl_or_inf(
-    f: Union[Distribution, np.ndarray], q: Union[Distribution, np.ndarray]
-) -> float:
-    try:
-        return kl_divergence(f, q)
-    except SupportViolationError:
-        return math.inf
-
-
 def _estimate(values: np.ndarray) -> ErrorEstimate:
     trials = values.size
     mean = float(values.mean())
@@ -712,22 +719,18 @@ def mc_training_error(
     """Monte-Carlo training error ``n KL(q || maxent(sample))``.
 
     Draws ``trials`` multinomial samples of size ``n`` from ``q``, refits
-    the model on each, and averages the scaled divergence from the truth
-    to the fit.  For a model implying the generating architecture the
-    mean approaches ``(d - 1) / 2``; otherwise it grows linearly in
-    ``n``.  A fit that excludes states observed under ``q`` contributes
-    an infinite divergence, reported as such.
+    the model on all of them in one batch (see :func:`_refit`), and
+    averages the scaled divergence from the truth to each fit.  For a
+    model implying the generating architecture the mean approaches
+    ``(d - 1) / 2``; otherwise it grows linearly in ``n``.  A fit that
+    excludes states observed under ``q`` contributes an infinite
+    divergence, reported as such.
     """
     if trials < 1:
         raise InputError("trials must be at least 1")
     q_probs = prob_array(q)
-    values = np.empty(trials)
-    for t in range(trials):
-        counts = multinomial_sample(q_probs, n, rng)
-        f = counts.counts / n
-        p_hat, _, _, _ = _fit_for_f(model, f, options)
-        values[t] = n * _kl_or_inf(q_probs, p_hat)
-    return _estimate(values)
+    samples = [multinomial_sample(q_probs, n, rng).counts for _ in range(trials)]
+    return _estimate(_scaled_kl(q_probs, _refit(model, samples, n, options), n))
 
 
 def mc_test_error(
@@ -741,22 +744,38 @@ def mc_test_error(
 ) -> ErrorEstimate:
     """Monte-Carlo test error ``n KL(test sample || maxent(train sample))``.
 
-    Each trial refits the model on a fresh training sample and evaluates
-    the scaled divergence of ``test_trials`` independent test samples
-    from the fit, all of size ``n``.  For a model implying the
-    generating architecture the mean approaches ``(a + d - 2) / 2``.
+    Each trial draws a training sample and then ``test_trials``
+    independent test samples, all of size ``n``; the model is refitted
+    on every training sample in one batch (see :func:`_refit`), and a
+    trial's value is the mean scaled divergence of its test samples
+    from its fit.  For a model implying the generating architecture the
+    mean approaches ``(a + d - 2) / 2``.
     """
     if trials < 1 or test_trials < 1:
         raise InputError("trials and test_trials must be at least 1")
     q_probs = prob_array(q)
-    trial_means = np.empty(trials)
-    for t in range(trials):
-        counts = multinomial_sample(q_probs, n, rng)
-        f = counts.counts / n
-        p_hat, _, _, _ = _fit_for_f(model, f, options)
-        draws = rng.multinomial(n, q_probs, size=test_trials)
-        kls = np.empty(test_trials)
-        for s in range(test_trials):
-            kls[s] = _kl_or_inf(draws[s] / n, p_hat)
-        trial_means[t] = n * kls.mean()
-    return _estimate(trial_means)
+    samples, tests = [], []
+    for _ in range(trials):
+        samples.append(multinomial_sample(q_probs, n, rng).counts)
+        tests.append(rng.multinomial(n, q_probs, size=test_trials))
+    log_p = _refit(model, samples, n, options)
+    return _estimate(_scaled_kl(np.array(tests) / n, log_p[:, None], n).mean(axis=1))
+
+
+def _refit(
+    model: Union[ArchitectureMatrix, CoefficientMatrix],
+    samples: Sequence[np.ndarray],
+    n: int,
+    options: Optional[SolveOptions],
+) -> np.ndarray:
+    """Log-probabilities (see :func:`_log_probs`) of the model fitted on
+    the moments of each count vector of total ``n`` in ``samples``, one
+    row each, all through one :func:`fit_linear_systems` call.  The
+    first failed fit raises its error."""
+    fits = fit_linear_systems(
+        [system for counts in samples for system in _induced([model], counts / n)], options
+    )
+    for fit in fits:
+        if isinstance(fit, SolverError):
+            raise fit
+    return _log_probs(np.array([fit.probabilities for fit in fits]))

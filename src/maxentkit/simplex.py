@@ -259,6 +259,25 @@ def kl_divergence(
     return float(np.sum(fv[mask] * (np.log(fv[mask]) - np.log(qv[mask]))))
 
 
+def _log_probs(p: np.ndarray) -> np.ndarray:
+    """Elementwise ``log p``, ``-inf`` where ``p`` is zero."""
+    out = np.full(p.shape, -np.inf)
+    np.log(p, out=out, where=p > 0)
+    return out
+
+
+def _scaled_kl(weights: np.ndarray, log_p: np.ndarray, n: int) -> np.ndarray:
+    """``n * KL(w || p)`` along the last axis, for stacks ``weights`` of
+    distributions ``w`` and ``log_p`` of :func:`_log_probs` that
+    broadcast against each other, with an infinity where ``p`` excludes
+    a state ``w`` weighs (where :func:`kl_divergence` raises)."""
+    # Masking log_p (not the product) keeps 0 * -inf out of the
+    # arithmetic while letting weight > 0 against an excluded state
+    # still produce the infinite divergence it deserves.
+    cross = (weights * np.where(weights > 0, log_p, 0.0)).sum(axis=-1)
+    return n * (xlogy(weights, weights).sum(axis=-1) - cross)
+
+
 def log_multinomial_pmf(
     counts: Union[CountVector, Sequence[int], np.ndarray],
     q: Union[Distribution, Sequence[float], np.ndarray],

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from conftest import record_acceptance
+from conftest import record_acceptance, record_diagnostic
 from maxentkit.bench import BenchmarkConfig, report_csv, run_benchmark, summary_csv, truth_csv
 from maxentkit.constraints import CoefficientMatrix, kernel_basis
 from maxentkit.ising import (
@@ -379,6 +379,24 @@ def test_truth_threshold_pass_rate(smoke_report):
         "mean alpha <= 0.01)"
         + (": " + "; ".join(problems) if problems else ""),
     )
+
+
+@pytest.mark.slow
+def test_truth_p_value_calibration(smoke_report):
+    """Reports, without asserting, how far the truth's p-values are from
+    U(0, 1) at each size: the KS distance D and the fraction below 0.01,
+    0.05 and 0.1, over the samples where the truth's fit is valid."""
+    by_n = defaultdict(list)
+    for row in smoke_report.truth_rows:
+        if row.valid:
+            by_n[row.n].append(row.p_value)
+    for n, p in sorted(by_n.items()):
+        p = np.array(p)
+        below = ", ".join(f"P(p<{a:g}) {np.mean(p < a):.3f}" for a in (0.01, 0.05, 0.1))
+        record_diagnostic(
+            f"truth p-value calibration N={n}",
+            f"KS D {kstest(p, 'uniform').statistic:.3f} over {p.size} samples; {below}",
+        )
 
 
 @pytest.mark.slow

@@ -11,7 +11,6 @@ from maxentkit.bench import (
     _Context,
     _fit_all_models,
     _run_task,
-    _scaled_kl,
     compare_reports,
     report_csv,
     run_benchmark,
@@ -22,6 +21,7 @@ from maxentkit.constraints import _support_reductions
 from maxentkit.errors import InputError
 from maxentkit.ising import boltzmann, random_params, to_coefficients
 from maxentkit.selection import alpha_empirical, empirical_p_value
+from maxentkit.simplex import _scaled_kl
 from maxentkit.solver import (
     SolveOptions,
     _DenseRows,
@@ -73,6 +73,17 @@ class TestConfig:
             BenchmarkConfig(alpha_prefactor=-1.0)
         with pytest.raises(InputError):
             BenchmarkConfig(threads=0)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"sample_sizes": (100_000, 100_000)}, {"methods": ("bic", "bic")}],
+        ids=["sample_sizes", "methods"],
+    )
+    def test_repeated_entries_rejected(self, fields):
+        """A repeated size or method would report one task's rows twice
+        and count each summary cell's tasks twice over."""
+        with pytest.raises(InputError, match="repeat"):
+            BenchmarkConfig(**fields)
 
     def test_sequences_coerced_to_tuples(self):
         config = BenchmarkConfig(

@@ -447,6 +447,21 @@ class TestBench:
         config = write_json(tmp_path / "config.json", {"walkers": 5})
         assert main(["bench", "--config", config, "--out-dir", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize(
+        "fields",
+        [{"sample_sizes": [100, 100]}, {"methods": ["bic", "bic"]}],
+        ids=["sample_sizes", "methods"],
+    )
+    def test_repeated_config_entries(self, tmp_path, fields):
+        tiny = {
+            "n_spins": 3, "truth": [[1, 2]], "sample_sizes": [100],
+            "n_realizations": 1, "n_samples": 1, "test_samples": 2, "threads": 1,
+        }
+        config = write_json(tmp_path / "config.json", {**tiny, **fields})
+        out_dir = tmp_path / "o"
+        assert main(["bench", "--config", config, "--out-dir", str(out_dir)]) == 2
+        assert not out_dir.exists()
+
     def test_threads_env_default(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("MAXENTKIT_THREADS", "2")
         config = write_json(

@@ -13,6 +13,7 @@ from maxentkit.errors import (
     NoSolvableCandidateError,
     NotNestedError,
     SolverError,
+    SupportViolationError,
 )
 from maxentkit.ising import (
     SpinModel,
@@ -43,7 +44,7 @@ from maxentkit.selection import (
     select,
     select_scored,
 )
-from maxentkit.simplex import entropy
+from maxentkit.simplex import entropy, kl_divergence, multinomial_sample
 from maxentkit.solver import SolveOptions, fit_linear_system
 
 # 95% quantiles of the chi-square, 50-digit evaluations.
@@ -646,6 +647,91 @@ class TestMonteCarloErrors:
     def test_trials_validated(self, rng):
         with pytest.raises(InputError):
             mc_training_error(norm_only(3), np.full(3, 1 / 3), 100, 0, rng)
+
+
+def _fit_trial(model, counts, n, options):
+    system = CoefficientMatrix(model.rows, model.rows @ (counts / n))
+    return fit_linear_system(system, options).probabilities
+
+
+def _scaled_kl_or_inf(f, p, n):
+    try:
+        return n * kl_divergence(f, p)
+    except SupportViolationError:
+        return math.inf
+
+
+def _reference_estimate(values):
+    values = np.array(values)
+    if np.all(np.isfinite(values)):
+        return values.mean(), values.std(ddof=1) / math.sqrt(values.size), values.size
+    return values.mean(), math.inf, values.size
+
+
+def reference_training_error(model, q, n, trials, rng, options=None):
+    """The Monte-Carlo training error one trial at a time: draw, fit,
+    then n KL(q || fit) by kl_divergence."""
+    values = []
+    for _ in range(trials):
+        p_hat = _fit_trial(model, multinomial_sample(q, n, rng).counts, n, options)
+        values.append(_scaled_kl_or_inf(q, p_hat, n))
+    return _reference_estimate(values)
+
+
+def reference_test_error(model, q, n, trials, test_trials, rng, options=None):
+    """The Monte-Carlo test error one trial at a time, drawing each
+    trial's test samples right after its training sample."""
+    values = []
+    for _ in range(trials):
+        p_hat = _fit_trial(model, multinomial_sample(q, n, rng).counts, n, options)
+        draws = rng.multinomial(n, q, size=test_trials)
+        values.append(np.mean([_scaled_kl_or_inf(d / n, p_hat, n) for d in draws]))
+    return _reference_estimate(values)
+
+
+class TestMonteCarloMatchesPerTrialFits:
+    """One batched refit gives the estimates of a fit per trial."""
+
+    @pytest.fixture(scope="class")
+    def five_spin(self):
+        truth = SpinModel.from_interactions([(1, 2, 3), (1, 2, 4), (3, 5), (4, 5)], 5)
+        q = boltzmann(random_params(truth, np.random.default_rng(4))).probs
+        missing = SpinModel.from_interactions([(1, 2, 3), (1, 2, 4), (3, 5)], 5)
+        return q, to_coefficients(truth), to_coefficients(missing)
+
+    @pytest.mark.parametrize("which", [1, 2], ids=["truth", "missing_pair"])
+    @pytest.mark.parametrize("n", [30, 10_000])
+    def test_estimates_agree(self, five_spin, which, n):
+        q, model = five_spin[0], five_spin[which]
+        got = mc_training_error(model, q, n, 12, np.random.default_rng(n))
+        want = reference_training_error(model, q, n, 12, np.random.default_rng(n))
+        assert (got.mean, got.std_error, got.trials) == pytest.approx(want, rel=1e-9)
+        got = mc_test_error(model, q, n, 8, 5, np.random.default_rng(n + 1))
+        want = reference_test_error(model, q, n, 8, 5, np.random.default_rng(n + 1))
+        assert (got.mean, got.std_error, got.trials) == pytest.approx(want, rel=1e-9)
+
+    def test_excluded_states_give_infinite_estimates(self):
+        """A sample that never sees spin 1 up excludes those states from
+        the fit, which q still weighs."""
+        q = np.array([0.97, 0.01, 0.01, 0.01])
+        rows = np.vstack([np.ones(4), [0, 0, 1, 1], [0, 1, 0, 1]])
+        model = CoefficientMatrix(rows, rows @ q)
+        got = mc_training_error(model, q, 20, 6, np.random.default_rng(3))
+        want = reference_training_error(model, q, 20, 6, np.random.default_rng(3))
+        assert math.isinf(want[0])
+        assert (got.mean, got.std_error, got.trials) == want
+
+    def test_failed_fit_raises_its_error(self, five_spin):
+        q, model = five_spin[0], five_spin[1]
+        options = SolveOptions(tolerance=1e-14, max_iterations=1)
+        with pytest.raises(SolverError) as want:
+            reference_training_error(model, q, 1000, 3, np.random.default_rng(0), options)
+        for estimate in (
+            lambda rng: mc_training_error(model, q, 1000, 3, rng, options),
+            lambda rng: mc_test_error(model, q, 1000, 3, 2, rng, options),
+        ):
+            with pytest.raises(type(want.value)):
+                estimate(np.random.default_rng(0))
 
 
 @pytest.fixture(scope="module")

@@ -14,6 +14,7 @@ from maxentkit.errors import (
     SingularJacobianError,
     SolverError,
 )
+from maxentkit.ising import enumerate_models, to_coefficients
 from maxentkit.simplex import Distribution, entropy
 from maxentkit.solver import (
     FitResult,
@@ -633,3 +634,110 @@ class TestRowFormGroups:
         monkeypatch.setattr(solver, "_newton_iterate", poisoned)
         with pytest.raises(InputError, match=message):
             fit_linear_systems(row_form_groups(rng))
+
+
+def mcs_order(cliques):
+    """Cliques by maximum cardinality search (Tarjan & Yannakakis 1984):
+    each next clique shares the most spins with those taken, ties to the
+    first.  On an acyclic hypergraph this order has the running
+    intersection property; a greedy order need not."""
+    order, seen, rest = [], set(), list(cliques)
+    while rest:
+        best = max(rest, key=lambda c: len(seen.intersection(c)))
+        rest.remove(best)
+        order.append(best)
+        seen.update(best)
+    return order
+
+
+def running_intersection(order):
+    """Each clique's separator, its spins in earlier cliques, lies in one
+    earlier clique."""
+    seen = set()
+    for j, clique in enumerate(order):
+        sep = seen.intersection(clique)
+        if j and not any(sep <= set(prev) for prev in order[:j]):
+            return False
+        seen.update(clique)
+    return True
+
+
+def gyo_acyclic(cliques):
+    """Graham-Yu-Ozsoyoglu reduction: drop the spins in one clique only
+    and the cliques inside another until nothing changes; the
+    hypergraph is acyclic iff no clique is left."""
+    edges = [frozenset(c) for c in cliques]
+    while True:
+        shrunk = [frozenset(v for v in e if sum(v in o for o in edges) > 1) for e in edges]
+        kept = [
+            e for i, e in enumerate(shrunk)
+            if e and not any(e < o or (e == o and j < i) for j, o in enumerate(shrunk))
+        ]
+        if kept == edges:
+            return not edges
+        edges = kept
+
+
+def decomposable_fit(model, f):
+    """Closed-form MaxEnt fit of a decomposable model (Darroch,
+    Lauritzen & Speed, Ann. Stat. 1980): prod f_C / prod f_S over its
+    cliques C and separators S in maximum-cardinality order, 0/0 = 0,
+    and 1/2 for each spin in no clique."""
+    n_spins = model.n_spins
+    states = np.arange(2 ** n_spins)
+
+    def marginal(spins):
+        key = states & sum(1 << (n_spins - i) for i in spins)
+        return np.bincount(key, weights=f, minlength=states.size)[key]
+
+    order = mcs_order(model.maximal_interactions)
+    covered = set().union(*order)
+    p = np.full(states.size, 0.5 ** (n_spins - len(covered)))
+    seen = set()
+    for clique in order:
+        f_sep = marginal(sorted(seen.intersection(clique)))
+        p *= np.divide(marginal(clique), f_sep, out=np.zeros_like(f_sep), where=f_sep > 0)
+        seen.update(clique)
+    return p
+
+
+def enumerate_models_by_label(n_spins):
+    return {m.label: m for m in enumerate_models(n_spins)}
+
+
+class TestDecomposableClosedForm:
+    """Every decomposable model's batched fit equals its closed form."""
+
+    def test_maximum_cardinality_order_needed(self):
+        path = enumerate_models_by_label(4)["1.3+2.4+3.4"]
+        assert not running_intersection(path.maximal_interactions)
+        assert running_intersection(mcs_order(path.maximal_interactions))
+        triangle = enumerate_models_by_label(4)["1.2+1.3+2.3"]
+        assert not running_intersection(mcs_order(triangle.maximal_interactions))
+
+    def test_mcs_order_agrees_with_gyo_reduction(self):
+        for model in enumerate_models(4):
+            cliques = model.maximal_interactions
+            assert running_intersection(mcs_order(cliques)) == gyo_acyclic(cliques), model.label
+
+    @pytest.mark.parametrize("n_spins, step", [(4, 1), (5, 20)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_fits_equal_closed_form(self, n_spins, step, seed):
+        """On random counts, zero cells included, over all four-spin
+        models and every 20th five-spin one."""
+        rng = np.random.default_rng(seed)
+        counts = rng.multinomial(15 * 2 ** n_spins, rng.dirichlet(np.ones(2 ** n_spins)))
+        f = counts / counts.sum()
+        models = [
+            m for m in enumerate_models(n_spins)[::step]
+            if running_intersection(mcs_order(m.maximal_interactions))
+        ]
+        assert len(models) > 50
+        systems = []
+        for model in models:
+            rows = to_coefficients(model).rows
+            systems.append(CoefficientMatrix(rows, rows @ f))
+        for model, fit in zip(models, fit_linear_systems(systems)):
+            assert isinstance(fit, FitResult), model.label
+            exact = decomposable_fit(model, f)
+            assert np.max(np.abs(fit.probabilities - exact)) <= 1e-9, model.label
