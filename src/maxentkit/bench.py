@@ -33,7 +33,8 @@ uniform.  Warm-started systems the batch flags (singular, runaway, or
 unconverged) are restarted once from uniform, and those still flagged
 get the damped pass (see :func:`~maxentkit.solver._newton_passes`);
 systems that pass cannot fit are refitted together on dense rows by
-:func:`~maxentkit.solver.fit_linear_systems`, and a model that still
+the table core of :func:`~maxentkit.solver.fit_linear_systems`,
+``solver._fit_table``, and a model that still
 fails is dropped from that sample's candidate set with a warning.  A
 model whose rows pin its working space is fitted by the sample itself.
 
@@ -51,6 +52,7 @@ import csv
 import json
 import logging
 import math
+import numbers
 import os
 from collections import defaultdict
 from dataclasses import dataclass, fields
@@ -59,8 +61,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .constraints import CoefficientMatrix, _support_reductions
-from .errors import InputError, SolverError
+from .errors import InputError
 from .ising import (
+    MAX_ENUMERATION_SPINS,
     SpinModel,
     _from_mask,
     _to_mask,
@@ -72,7 +75,7 @@ from .ising import (
 )
 from .selection import METHODS, SelectionConfig, _score_fits, alpha_empirical, select_arrays
 from .simplex import _log_probs, _scaled_kl
-from .solver import _newton_passes, _ProductRows, fit_linear_systems
+from .solver import _fit_table, _newton_passes, _ProductRows
 
 __all__ = [
     "BenchmarkConfig",
@@ -92,6 +95,11 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 _G_ISING = ((1, 2, 3), (1, 2, 4), (3, 5), (4, 5))
+
+
+def _is_integer(value: object) -> bool:
+    """Whether a config value is an integer: a bool is not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -117,6 +125,21 @@ class BenchmarkConfig:
     threads: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("n_spins", "n_realizations", "n_samples", "test_samples", "seed", "threads"):
+            if not _is_integer(getattr(self, name)):
+                raise InputError(f"{name} must be an integer")
+        if not all(_is_integer(n) for n in self.sample_sizes):
+            raise InputError("sample sizes must be integers")
+        if not all(
+            isinstance(s, (tuple, list)) and all(_is_integer(i) for i in s) for s in self.truth
+        ):
+            raise InputError("truth must be a list of interactions, each a list of integer spins")
+        if not 1 <= self.n_spins <= MAX_ENUMERATION_SPINS:
+            raise InputError(f"n_spins must lie in 1..{MAX_ENUMERATION_SPINS}")
+        # Raises for an interaction outside the spins.
+        SpinModel.from_interactions(self.truth, self.n_spins)
+        if self.seed < 0:
+            raise InputError("seed must be nonnegative")
         if self.n_realizations < 1 or self.n_samples < 1:
             raise InputError("need at least one realization and one sample")
         if self.test_samples < 1:
@@ -129,8 +152,12 @@ class BenchmarkConfig:
             raise InputError("sample sizes must not repeat")
         if len(set(self.methods)) < len(self.methods):
             raise InputError("methods must not repeat")
-        if self.alpha_prefactor <= 0.0:
-            raise InputError("alpha_prefactor must be positive")
+        if (
+            isinstance(self.alpha_prefactor, bool)
+            or not isinstance(self.alpha_prefactor, numbers.Real)
+            or not self.alpha_prefactor > 0.0
+        ):
+            raise InputError("alpha_prefactor must be a positive number")
         if self.threads < 1:
             raise InputError("threads must be at least 1")
         object.__setattr__(self, "truth", tuple(tuple(s) for s in self.truth))
@@ -350,13 +377,15 @@ def _fit_all_models(ctx: _Context, counts: np.ndarray, n: int) -> _FitTable:
     # Normalization, then row 1 + j per closure bit j: ``_from_mask``
     # lists set bits 1-based.
     rmats = [[0, *_from_mask(int(ctx.closure_bits[i]))] for i in robust]
-    fits = fit_linear_systems([CoefficientMatrix(ctx.zeta[r], m_frac[r]) for r in rmats])
-    for i, fit in zip(robust, fits):
-        if isinstance(fit, SolverError):
-            log.warning("candidate %s dropped for this sample: %s", ctx.models[i].label, fit)
+    fits = _fit_table([CoefficientMatrix(ctx.zeta[r], m_frac[r]) for r in rmats], None)
+    for k, i in enumerate(robust):
+        if k in fits.errors:
+            log.warning(
+                "candidate %s dropped for this sample: %s", ctx.models[i].label, fits.errors[k]
+            )
             continue
-        probs[i] = fit.probabilities
-        rank_eff[i] = fit.rank_effective
+        probs[i] = fits.probabilities[k]
+        rank_eff[i] = fits.rank_eff[k]
         valid[i] = True
     return _FitTable(probabilities=probs, rank_eff=rank_eff, valid=valid)
 

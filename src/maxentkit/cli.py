@@ -318,6 +318,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         raise InputError(f"unknown benchmark config fields: {sorted(unknown)}")
     for key in ("truth", "sample_sizes", "methods"):
         if key in fields:
+            if not isinstance(fields[key], list):
+                raise InputError(f"benchmark config field {key} must be a list")
             fields[key] = tuple(
                 tuple(x) if isinstance(x, list) else x for x in fields[key]
             )

@@ -49,7 +49,6 @@ from .errors import (
     InputError,
     NoSolvableCandidateError,
     NotNestedError,
-    SolverError,
 )
 from .simplex import (
     Distribution,
@@ -59,7 +58,7 @@ from .simplex import (
     multinomial_sample,
     prob_array,
 )
-from .solver import SolveOptions, fit_linear_system, fit_linear_systems
+from .solver import SolveOptions, _fit_table, fit_linear_system
 
 __all__ = [
     "ModelScore",
@@ -426,8 +425,8 @@ def score_candidates(
 
     Returns a list aligned with ``candidates`` (``None`` where the solve
     failed; failures are logged, not raised) and the empirical entropy
-    of ``f``.  All candidates are fitted together through
-    :func:`fit_linear_systems`.
+    of ``f``.  All candidates are fitted together, in one table, by the
+    fit core of :func:`~maxentkit.solver.fit_linear_systems`.
     """
     if ids is None:
         ids = list(range(len(candidates)))
@@ -477,17 +476,12 @@ def _score_and_fit(
     if not candidates:
         raise InputError("need at least one candidate")
     probs = prob_array(f)
-    batch = fit_linear_systems(_induced(candidates, probs), options)
-    fits = np.full((len(batch), probs.size), np.nan)  # a NaN row marks a failure
-    rank = np.zeros(len(batch), dtype=int)
-    for i, (cid, fit) in enumerate(zip(ids, batch)):
-        if isinstance(fit, SolverError):
-            log.warning("candidate %s failed to solve: %s", cid, fit)
-        else:
-            fits[i] = fit.probabilities
-            rank[i] = fit.rank_effective
+    table = _fit_table(_induced(candidates, probs), options)
+    for i in sorted(table.errors):
+        log.warning("candidate %s failed to solve: %s", ids[i], table.errors[i])
+    rank = table.rank_eff
     h_hat, h_f, p_value, bic_score, aic_score, valid = _score_fits(
-        fits, probs, rank, n, ids.__getitem__
+        table.probabilities, probs, rank, n, ids.__getitem__
     )
     columns = dict(
         rank=rank, n_states=np.full(rank.size, probs.size), maxent_entropy=h_hat,
@@ -770,12 +764,11 @@ def _refit(
 ) -> np.ndarray:
     """Log-probabilities (see :func:`_log_probs`) of the model fitted on
     the moments of each count vector of total ``n`` in ``samples``, one
-    row each, all through one :func:`fit_linear_systems` call.  The
-    first failed fit raises its error."""
-    fits = fit_linear_systems(
+    row each, all through one :func:`~maxentkit.solver._fit_table` call.
+    The first failed fit raises its error."""
+    table = _fit_table(
         [system for counts in samples for system in _induced([model], counts / n)], options
     )
-    for fit in fits:
-        if isinstance(fit, SolverError):
-            raise fit
-    return _log_probs(np.array([fit.probabilities for fit in fits]))
+    if table.errors:
+        raise table.errors[min(table.errors)]
+    return _log_probs(table.probabilities)

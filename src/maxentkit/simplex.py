@@ -162,6 +162,18 @@ class Distribution:
         return cls(np.full(n_states, 1.0 / n_states))
 
     @classmethod
+    def _check_rows(cls, probs: np.ndarray) -> None:
+        """Raise what the constructor of the first row of the 2-d array
+        ``probs`` that is not a distribution would raise."""
+        ok = (
+            np.isfinite(probs).all(axis=1)
+            & (probs >= 0.0).all(axis=1)
+            & (np.abs(probs.sum(axis=1) - 1.0) <= PROB_SUM_TOL)
+        )
+        if not ok.all():
+            cls(probs[int(ok.argmin())])
+
+    @classmethod
     def stack(cls, probs: np.ndarray) -> list["Distribution"]:
         """Each row of the 2-d array ``probs`` as a distribution.
 
@@ -171,13 +183,7 @@ class Distribution:
         sum of that row alone).  The rows are read-only views of
         ``probs``, which the caller hands over and must not write to.
         """
-        ok = (
-            np.isfinite(probs).all(axis=1)
-            & (probs >= 0.0).all(axis=1)
-            & (np.abs(probs.sum(axis=1) - 1.0) <= PROB_SUM_TOL)
-        )
-        if not ok.all():
-            cls(probs[int(ok.argmin())])
+        cls._check_rows(probs)
         probs.setflags(write=False)
         out = []
         for row in probs:

@@ -6,8 +6,16 @@ moments (targets of exactly zero or one) shrink the working space
 instead of diverging the multipliers.  Every system, reduced or not,
 is then canonicalized, one lockstep replay of the eliminations per row
 count and elimination length.  A saturated system is read off
-directly; the others are grouped by working shape and each group is
-solved over the stack by the one Newton kernel, :func:`_newton_iterate`.
+directly; the others are stacked by their count ``a'`` of working
+states, each system's rows padded with zero rows of target zero to the
+width ``a' - 1``, and each stack is solved by the one Newton kernel,
+:func:`_newton_iterate`.  A padded row gets a unit Jacobian diagonal,
+so its Newton step is exactly zero; the width depends on the system
+alone, so a system gets the same fit alone as in any stack.
+:func:`_fit_table` is that core: it returns the fits as one table of
+probabilities, with the effective ranks and the errors by index, which
+is all that scoring reads; :func:`fit_linear_systems` is the object
+view over it, and the one fit path that computes multipliers.
 Each step multiplies the iterate by ``exp(-rows^T @ delta)`` where
 ``delta`` solves the Jacobian system ``J = rows @ diag(p) @ rows^T``;
 for a full-row-rank architecture and a strictly positive iterate the
@@ -17,7 +25,8 @@ architecture.
 
 The kernel reads a stack's rows through one of two row forms with the
 same methods.  :class:`_DenseRows` is a ``(g, d, a)`` array of any real
-coefficients; the groups of :func:`fit_linear_systems` use it.
+coefficients with a mask of padding rows; the stacks of
+:func:`_fit_table` use it.
 :class:`_ProductRows` is for 0/1 spin-product rows, as the benchmark
 sweep fits: it holds one shared basis of product rows and each
 system's row indices, and since the product of two such rows is the
@@ -174,13 +183,17 @@ def _multipliers(row_stack: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 def _classify_failure(
-    rows: np.ndarray, targets: np.ndarray, p: np.ndarray, diff: np.ndarray, iterations: int,
-    tolerance: float,
+    stack: "_Rows", k: int, targets: np.ndarray, p: np.ndarray, diff: np.ndarray,
+    iterations: int, tolerance: float,
 ) -> SolverError:
-    """The typed error of one system the damped pass stopped at the
-    iterate ``p``, whose moment residuals are ``diff``.  The residuals
-    reported are those the convergence test failed on: the iterate's,
-    or its normalization's where the iterate meets the tolerance."""
+    """The typed error of system ``k`` of the row stack ``stack``, with
+    targets ``targets``, which the damped pass stopped at the iterate
+    ``p`` with moment residuals ``diff``.  It is read on the system's
+    own rows, without padding.  The residuals reported are those the
+    convergence test failed on: the iterate's, or its normalization's
+    where the iterate meets the tolerance."""
+    own = ~stack.pad[k]
+    rows, targets, diff = stack.take([k]).dense()[0][own], targets[own], diff[own]
     if np.max(np.abs(diff)) <= tolerance:
         diff = rows @ p / p.sum() - targets
     worst = int(np.argmax(np.abs(diff)))
@@ -227,10 +240,12 @@ def solve_newton(
         If the iteration budget runs out without either of the above.
     """
     rows = architecture.rows[None]
-    *fit, errors = _damped_pass(rows, architecture.moments[None], options or SolveOptions())
+    p, residuals, _, steps, errors = _damped_pass(
+        rows, architecture.moments[None], options or SolveOptions()
+    )
     if errors:
         raise errors[0]
-    (solution,) = _solutions(rows, *fit)
+    (solution,) = _solutions(rows, p, residuals, steps, (p > 0.0).all(axis=1))
     return solution
 
 
@@ -386,9 +401,10 @@ def _working_systems(
     return out
 
 
-def _saturated_solution(architecture: ArchitectureMatrix) -> MaxEntSolution:
-    """The unique feasible point of a system saturated on its working
-    space: the RREF is the identity, so the moments are the point."""
+def _saturated_point(architecture: ArchitectureMatrix) -> tuple[np.ndarray, float]:
+    """The unique feasible point, and its residual, of a system
+    saturated on its working space: the RREF is the identity, so the
+    moments are the point."""
     p = np.array(architecture.moments, dtype=float)
     tiny = (p < 0.0) & (p >= -1e-12)
     p[tiny] = 0.0
@@ -396,10 +412,7 @@ def _saturated_solution(architecture: ArchitectureMatrix) -> MaxEntSolution:
         raise InfeasibleMomentsError(
             "infeasible moments: saturated system implies a negative probability"
         )
-    p, residual = _snap_normalization(p, architecture.rows, architecture.moments, 0.0)
-    return MaxEntSolution(
-        distribution=Distribution(p), multipliers=None, iterations=0, residual=residual
-    )
+    return _snap_normalization(p, architecture.rows, architecture.moments, 0.0)
 
 
 def _fit_result(
@@ -424,52 +437,149 @@ def _fit_result(
     )
 
 
+@dataclass(frozen=True)
+class _FitTable:
+    """The fits of :func:`_fit_table`, by system index.
+
+    ``probabilities`` holds one row per system on the full state space,
+    exact zeros on its excluded states, and NaN throughout where its fit
+    failed; ``rank_eff`` the effective rank of each fit (see
+    :class:`FitResult`), 0 where it failed; ``errors`` the
+    :class:`SolverError` of each failed system.  For the object view,
+    ``working`` holds each system's entry of :func:`_working_systems`,
+    and ``iterations`` and ``residuals`` each fit's Newton steps (0 when
+    read off) and moment residual.
+    """
+
+    probabilities: np.ndarray
+    rank_eff: np.ndarray
+    errors: dict[int, SolverError]
+    working: list
+    iterations: np.ndarray
+    residuals: np.ndarray
+
+
+def _padded_stack(architectures: Sequence[ArchitectureMatrix]) -> tuple["_DenseRows", np.ndarray]:
+    """The rows and targets of architectures with ``a'`` states and
+    rank below ``a'``, each padded with zero rows of target zero to the
+    width ``a' - 1``."""
+    n_working = architectures[0].n_states
+    ranks = np.array([architecture.rank for architecture in architectures])
+    pad = np.arange(n_working - 1) >= ranks[:, None]
+    rows = np.zeros((*pad.shape, n_working))
+    targets = np.zeros(pad.shape)
+    # A mask fills its rows in row-major order: system by system.
+    rows[~pad] = np.concatenate([architecture.rows for architecture in architectures])
+    targets[~pad] = np.concatenate([architecture.moments for architecture in architectures])
+    return _DenseRows.padded(rows, pad), targets
+
+
+def _fit_table(
+    systems: Sequence[Union[CoefficientMatrix, ArchitectureMatrix]],
+    options: Optional[SolveOptions],
+) -> _FitTable:
+    """Canonicalize, reduce, and solve many raw constraint systems on
+    one state space, into one table of fits (see :class:`_FitTable`).
+
+    The binary systems run the exclusion cascade and every system is
+    canonicalized on its working space (see :func:`_working_systems`).
+    A saturated system is read off directly.  The others are stacked by
+    their count ``a'`` of working states, each padded to the width
+    ``a' - 1`` (see :func:`_padded_stack`), and each stack runs through
+    the passes of :func:`_newton_passes` from uniform.  The width
+    depends on the system alone, so a system's fit is the same in any
+    stack.  Input errors raise, as does a converged row that is not a
+    distribution.
+    """
+    opts = options or SolveOptions()
+    n_systems = len(systems)
+    probs = np.full((n_systems, systems[0].n_states if systems else 0), np.nan)
+    excluded = np.zeros(probs.shape, dtype=bool)
+    rank_eff = np.zeros(n_systems, dtype=int)
+    iterations = np.zeros(n_systems, dtype=int)
+    residuals = np.zeros(n_systems)
+    errors: dict[int, SolverError] = {}
+    working = _working_systems(systems)
+    stacks: dict[int, list[int]] = defaultdict(list)
+    for i, work in enumerate(working):
+        if isinstance(work, SolverError):
+            errors[i] = work
+            continue
+        _, architecture, excluded[i] = work
+        rank_eff[i] = architecture.rank
+        if architecture.rank < architecture.n_states:
+            stacks[architecture.n_states].append(i)
+            continue
+        try:
+            p, residuals[i] = _saturated_point(architecture)
+        except SolverError as exc:
+            errors[i] = exc
+            continue
+        probs[i] = 0.0
+        probs[i, ~excluded[i]] = p
+
+    for members in stacks.values():
+        rows, targets = _padded_stack([working[i][1] for i in members])
+        p, stack_residuals, _, steps, stack_errors = _newton_passes(rows, targets, opts)
+        errors.update((members[k], exc) for k, exc in stack_errors.items())
+        fitted = np.ones(len(members), dtype=bool)
+        fitted[list(stack_errors)] = False
+        idx = np.array(members)[fitted]
+        block = np.zeros((idx.size, probs.shape[1]))
+        # Each fit fills the a' kept states of its row, in order.
+        block[~excluded[idx]] = p[fitted].ravel()
+        probs[idx] = block
+        iterations[idx], residuals[idx] = steps[fitted], stack_residuals[fitted]
+
+    rank_eff += excluded.sum(axis=1)
+    failed = list(errors)
+    rank_eff[failed] = 0
+    Distribution._check_rows(np.delete(probs, failed, axis=0))
+    return _FitTable(probs, rank_eff, errors, working, iterations, residuals)
+
+
 def fit_linear_systems(
     systems: Sequence[Union[CoefficientMatrix, ArchitectureMatrix]],
     options: Optional[SolveOptions] = None,
 ) -> list[Union[FitResult, SolverError]]:
     """Canonicalize, reduce, and solve many raw constraint systems.
 
-    The binary systems run the exclusion cascade, a stack per row shape,
-    and every system is canonicalized on its working space, systems of
-    one row count and elimination length by one lockstep replay (see
-    :func:`_working_systems`); a saturated one is read off directly.
-    The others are grouped by ``(rank, working states)`` and each group
-    runs through the passes of :func:`_newton_passes` from uniform.  An
-    architecture is its own canonical form, so it may be passed as
-    well.  Every system's fit depends on that system alone, not on its
-    group.
+    The systems of each state count are fitted by :func:`_fit_table`:
+    the binary ones run the exclusion cascade, every system is
+    canonicalized on its working space, a saturated one is read off
+    directly, and the others are solved in one padded Newton stack per
+    working-state count.  An architecture is its own canonical form, so
+    it may be passed as well.  Every system's fit depends on that system
+    alone, not on its stack.  This view builds each fit's
+    :class:`MaxEntSolution`, with its multipliers where the fit came
+    from Newton steps and is strictly positive.
 
     Returns one entry per system, in order: its :class:`FitResult`, or
     the :class:`SolverError` that stopped it.  Input errors raise.
     """
-    opts = options or SolveOptions()
     results: list[Union[FitResult, SolverError, None]] = [None] * len(systems)
-    groups: dict[tuple[int, int], list] = defaultdict(list)
-    for i, (system, work) in enumerate(zip(systems, _working_systems(systems))):
-        if isinstance(work, SolverError):
-            results[i] = work
-            continue
-        _, architecture, excluded = work
-        if architecture.rank < architecture.n_states:
-            groups[architecture.rows.shape].append((i, architecture, excluded))
-            continue
-        try:
-            solution = _saturated_solution(architecture)
-        except SolverError as exc:
-            results[i] = exc
-            continue
-        results[i] = _fit_result(system, architecture, excluded, solution)
-
-    for members in groups.values():
-        rows = np.array([architecture.rows for _, architecture, _ in members])
-        targets = np.array([architecture.moments for _, architecture, _ in members])
-        *fit, errors = _newton_passes(rows, targets, opts)
-        solutions = _solutions(rows, *fit)
-        for k, (i, architecture, excluded) in enumerate(members):
-            results[i] = errors[k] if k in errors else _fit_result(
-                systems[i], architecture, excluded, solutions[k]
-            )
+    spaces: dict[int, list[int]] = defaultdict(list)
+    for i, system in enumerate(systems):
+        spaces[system.n_states].append(i)
+    for members in spaces.values():
+        table = _fit_table([systems[i] for i in members], options)
+        shapes: dict[tuple[int, int], list[int]] = defaultdict(list)
+        for k, i in enumerate(members):
+            if k in table.errors:
+                results[i] = table.errors[k]
+            else:
+                shapes[table.working[k][1].rows.shape].append(k)
+        for (rank, n_working), ks in shapes.items():
+            rows = np.array([table.working[k][1].rows for k in ks])
+            p = np.array([table.probabilities[k][~table.working[k][2]] for k in ks])
+            # A saturated fit is read off, not reached by Newton steps.
+            finite = (p > 0.0).all(axis=1) & (rank < n_working)
+            solutions = _solutions(rows, p, table.residuals[ks], table.iterations[ks], finite)
+            for k, solution in zip(ks, solutions):
+                _, architecture, excluded = table.working[k]
+                results[members[k]] = _fit_result(
+                    systems[members[k]], architecture, excluded, solution
+                )
     return results
 
 
@@ -503,7 +613,8 @@ def fit_linear_system(
         raise work
     reduced, architecture, excluded = work
     if architecture.rank == architecture.n_states:
-        solution = _saturated_solution(architecture)
+        p, residual = _saturated_point(architecture)
+        solution = MaxEntSolution(Distribution(p), None, 0, residual)
     else:
         solution = solve_ipf(reduced, options)
     return _fit_result(system, architecture, excluded, solution)
@@ -550,32 +661,37 @@ def sample_equivalence_class(
 
 
 def _solutions(
-    row_stack: np.ndarray, p: np.ndarray, residuals: np.ndarray, converged: np.ndarray,
-    steps: np.ndarray,
-) -> list[Optional[MaxEntSolution]]:
-    """Per system of a Newton stack, its solution if it converged, else
-    ``None``.  Multipliers are the least squares of ``log p`` on the
-    rows; a state whose probability underflowed to zero has no finite
-    multipliers, and such a fit reports none."""
-    has_theta = converged & (p > 0.0).all(axis=1)
-    finite = np.flatnonzero(has_theta)
+    row_stack: np.ndarray, p: np.ndarray, residuals: np.ndarray, steps: np.ndarray,
+    finite: np.ndarray,
+) -> list[MaxEntSolution]:
+    """Per system of a stack of converged fits ``p`` on the rows
+    ``row_stack``, its solution.  The systems at the mask ``finite``,
+    whose fits must be strictly positive, get multipliers: the least
+    squares of ``log p`` on the rows.  A state whose probability
+    underflowed to zero has no finite multipliers, and such a fit
+    reports none."""
     theta = np.zeros(row_stack.shape[:2])
-    if finite.size:
+    if finite.any():
         theta[finite] = _multipliers(row_stack[finite], p[finite])
-    distributions = iter(Distribution.stack(p[converged]))
     return [
-        MaxEntSolution(next(distributions), theta[k] if has_theta[k] else None,
-                       int(steps[k]), float(residuals[k])) if converged[k] else None
-        for k in range(len(p))
+        MaxEntSolution(distribution, theta[k] if finite[k] else None,
+                       int(steps[k]), float(residuals[k]))
+        for k, distribution in enumerate(Distribution.stack(p))
     ]
 
 
 class _DenseRows:
     """A stack of row matrices, ``(g, d, a)``, of any real coefficients:
-    the rows of :func:`fit_linear_systems`.
+    the rows of :func:`_fit_table`.
 
-    The Newton kernel reads rows only through the methods below, which
-    :class:`_ProductRows` shares.  ``statistics(p)`` is what the
+    ``pad`` ``(g, d)`` marks padding: zero rows, of target zero, that
+    fill a system of fewer rows up to ``d`` (see :meth:`padded`).  The
+    Jacobian gets a unit diagonal at a padded row, so a padded block is
+    the identity and its Newton step is exactly zero.  The mask is
+    explicit because a real row may be zero on the working states too.
+
+    The Newton kernel reads rows only through the attributes below,
+    which :class:`_ProductRows` shares.  ``statistics(p)`` is what the
     moments and the Jacobian at ``p`` are read from; here ``p`` itself.
     """
 
@@ -583,9 +699,17 @@ class _DenseRows:
         # C order: the batched matmuls round by layout.
         self.stack = np.ascontiguousarray(stack)
         self.shape = self.stack.shape
+        self.pad = np.zeros(self.shape[:2], dtype=bool)
+
+    @classmethod
+    def padded(cls, stack: np.ndarray, pad: np.ndarray) -> "_DenseRows":
+        """The rows ``stack`` whose rows at the mask ``pad`` are padding."""
+        rows = cls(stack)
+        rows.pad = pad
+        return rows
 
     def take(self, idx) -> "_DenseRows":
-        return _DenseRows(self.stack[idx])
+        return _DenseRows.padded(self.stack[idx], self.pad[idx])
 
     def dense(self) -> np.ndarray:
         return self.stack
@@ -597,7 +721,10 @@ class _DenseRows:
         return (self.stack @ stats[:, :, None])[:, :, 0]
 
     def jacobian(self, stats: np.ndarray) -> np.ndarray:
-        return (self.stack * stats[:, None, :]) @ self.stack.transpose(0, 2, 1)
+        jacobian = (self.stack * stats[:, None, :]) @ self.stack.transpose(0, 2, 1)
+        system, row = np.nonzero(self.pad)
+        jacobian[system, row, row] += 1.0
+        return jacobian
 
     def shift(self, delta: np.ndarray) -> np.ndarray:
         return (self.stack.transpose(0, 2, 1) @ delta[:, :, None])[:, :, 0]
@@ -628,6 +755,11 @@ class _ProductRows:
 
     def take(self, idx) -> "_ProductRows":
         return _ProductRows(self.basis, self.index[idx], self.union, self.pairs[idx])
+
+    @property
+    def pad(self) -> np.ndarray:
+        """No row is padding."""
+        return np.zeros(self.index.shape, dtype=bool)
 
     def dense(self) -> np.ndarray:
         return self.basis[self.index]
@@ -681,13 +813,13 @@ def _newton_passes(
     options: Optional[SolveOptions] = None,
     start: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, dict[int, SolverError]]:
-    """Fit a stack of full-row-rank systems, rows ``(g, d, a)`` (an
-    array, or one of the row forms :class:`_DenseRows` and
-    :class:`_ProductRows`) and targets ``(g, d)``, by up to three passes
-    of :func:`_newton_iterate`: undamped from ``start`` (uniform when
-    omitted); undamped from uniform for the systems the first pass flags
-    whose start was not uniform; and damped from uniform for the systems
-    still flagged.
+    """Fit a stack of systems of full row rank but for padding rows,
+    rows ``(g, d, a)`` (an array, or one of the row forms
+    :class:`_DenseRows` and :class:`_ProductRows`) and targets
+    ``(g, d)``, by up to three passes of :func:`_newton_iterate`:
+    undamped from ``start`` (uniform when omitted); undamped from
+    uniform for the systems the first pass flags whose start was not
+    uniform; and damped from uniform for the systems still flagged.
 
     Each row of ``start`` must be strictly positive with its log in the
     row space of its system, as the fit of a sub-model's rows is; Newton
@@ -826,7 +958,7 @@ def _newton_iterate(
             stalled = _damped_step(rows, probs, diff, targets, shift, overflow)
             for k in stalled.tolist():
                 errors[int(active[k])] = _classify_failure(
-                    rows.take([k]).dense()[0], targets[k], probs[k], diff[k], it + 1, tolerance
+                    rows, k, targets[k], probs[k], diff[k], it + 1, tolerance
                 )
             if stalled.size:
                 leave(stalled)
@@ -844,7 +976,7 @@ def _newton_iterate(
         # The systems left at the iteration cap.
         for k, i in enumerate(active.tolist()):
             errors[i] = _classify_failure(
-                rows.take([k]).dense()[0], targets[k], probs[k], diff[k], it, tolerance
+                rows, k, targets[k], probs[k], diff[k], it, tolerance
             )
 
     if converged.any():

@@ -25,11 +25,11 @@ from maxentkit.simplex import _scaled_kl
 from maxentkit.solver import (
     SolveOptions,
     _DenseRows,
+    _fit_table,
     _newton_iterate,
     _newton_passes,
     _ProductRows,
     fit_linear_system,
-    fit_linear_systems,
 )
 
 TINY = dict(
@@ -84,6 +84,30 @@ class TestConfig:
         and count each summary cell's tasks twice over."""
         with pytest.raises(InputError, match="repeat"):
             BenchmarkConfig(**fields)
+
+    @pytest.mark.parametrize("fields", [
+        {"n_realizations": 1.5},
+        {"n_samples": True},
+        {"seed": 2.0},
+        {"seed": -1},
+        {"threads": "2"},
+        {"sample_sizes": (100.7,)},
+        {"n_spins": 3, "truth": ((1, 9),)},
+        {"n_spins": 3, "truth": ((1, 2.5),)},
+        {"n_spins": 7, "truth": ((1, 2),)},
+        {"alpha_prefactor": "1"},
+        {"alpha_prefactor": float("nan")},
+    ], ids=str)
+    def test_malformed_fields_rejected(self, fields):
+        """Integer fields must be integers (not bools, not floats, which
+        were truncated or failed deep in a run), and the truth must lie
+        on the spins."""
+        with pytest.raises(InputError):
+            BenchmarkConfig(**fields)
+
+    def test_numpy_integers_accepted(self):
+        config = BenchmarkConfig(n_realizations=np.int64(2), sample_sizes=(np.int64(100),))
+        assert config.sample_sizes == (100,)
 
     def test_sequences_coerced_to_tuples(self):
         config = BenchmarkConfig(
@@ -276,12 +300,12 @@ class TestFitTableCrossValidation:
         f = counts / counts.sum()
         fallback_ranks = []
 
-        def fallback(systems):
-            fits = fit_linear_systems(systems)
-            fallback_ranks.extend(fit.rank_effective for fit in fits)
+        def fallback(systems, options):
+            fits = _fit_table(systems, options)
+            fallback_ranks.extend(fits.rank_eff.tolist())
             return fits
 
-        monkeypatch.setattr(bench, "fit_linear_systems", fallback)
+        monkeypatch.setattr(bench, "_fit_table", fallback)
         table = _fit_all_models(ctx, counts, int(counts.sum()))
         pinned = np.flatnonzero(table.rank_eff == a)
         assert pinned.size

@@ -462,6 +462,23 @@ class TestBench:
         assert main(["bench", "--config", config, "--out-dir", str(out_dir)]) == 2
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "fields",
+        [{"n_realizations": 1.5}, {"sample_sizes": [100.7]}, {"truth": [[1, 9]]},
+         {"sample_sizes": 100}],
+        ids=["float_count", "float_size", "truth_off_spins", "size_not_list"],
+    )
+    def test_malformed_config_exits_2_before_out_dir(self, tmp_path, capsys, fields):
+        tiny = {
+            "n_spins": 3, "truth": [[1, 2]], "sample_sizes": [100],
+            "n_realizations": 1, "n_samples": 1, "test_samples": 2, "threads": 1,
+        }
+        config = write_json(tmp_path / "config.json", {**tiny, **fields})
+        out_dir = tmp_path / "o"
+        assert main(["bench", "--config", config, "--out-dir", str(out_dir)]) == 2
+        assert not out_dir.exists()
+        assert "error:" in capsys.readouterr().err
+
     def test_threads_env_default(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("MAXENTKIT_THREADS", "2")
         config = write_json(

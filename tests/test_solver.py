@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -14,13 +16,22 @@ from maxentkit.errors import (
     SingularJacobianError,
     SolverError,
 )
-from maxentkit.ising import enumerate_models, to_coefficients
+from maxentkit.ising import (
+    SpinModel,
+    boltzmann,
+    enumerate_models,
+    random_params,
+    to_coefficients,
+)
 from maxentkit.simplex import Distribution, entropy
 from maxentkit.solver import (
     FitResult,
     SolveOptions,
+    _DenseRows,
+    _fit_table,
     _newton_iterate,
     _newton_passes,
+    _working_systems,
     fit_linear_system,
     fit_linear_systems,
     sample_equivalence_class,
@@ -634,6 +645,118 @@ class TestRowFormGroups:
         monkeypatch.setattr(solver, "_newton_iterate", poisoned)
         with pytest.raises(InputError, match=message):
             fit_linear_systems(row_form_groups(rng))
+
+
+def library_systems(n, seed):
+    """Every four-spin model on the moments of one sample of size ``n``
+    from a random Ising distribution of two triangles on a shared edge,
+    then a rank-2 system on the same sixteen states with a moment beyond
+    its row's maximum, which the damped pass stalls on."""
+    rng = np.random.default_rng(seed)
+    truth = SpinModel.from_interactions(((1, 2, 3), (1, 2, 4)), 4)
+    f = rng.multinomial(n, boltzmann(random_params(truth, rng)).probs) / n
+    systems = []
+    for model in enumerate_models(4):
+        rows = to_coefficients(model).rows
+        systems.append(CoefficientMatrix(rows, rows @ f))
+    ramp = np.vstack([np.ones(16), np.arange(16.0)])
+    systems.append(CoefficientMatrix(ramp, np.array([1.0, 15.5])))
+    return systems
+
+
+LIBRARY_CASES = [(n, seed) for n in (100, 10_000) for seed in range(3)]
+
+
+def named_constraint(error):
+    match = re.search(r"worst constraint (\d+)", str(error))
+    return None if match is None else int(match.group(1))
+
+
+class TestPaddedStacks:
+    @pytest.mark.parametrize("n, seed", LIBRARY_CASES)
+    def test_each_fit_equals_its_row_of_the_padded_stack(self, n, seed):
+        systems = library_systems(n, seed)
+        batch = fit_linear_systems(systems)
+        assert isinstance(batch[-1], InfeasibleMomentsError)
+        for system, fit in zip(systems, batch):
+            (alone,) = fit_linear_systems([system])
+            if isinstance(fit, SolverError):
+                assert type(alone) is type(fit)
+                assert str(alone) == str(fit)
+                constraint = named_constraint(fit)
+                if constraint is not None:
+                    # A real constraint of the system, not a padded row.
+                    (work,) = _working_systems([system])
+                    assert constraint < work[1].rank
+                continue
+            assert np.array_equal(alone.probabilities, fit.probabilities)
+            assert alone.rank_effective == fit.rank_effective
+            assert alone.solution.residual == fit.solution.residual
+            assert alone.solution.iterations == fit.solution.iterations
+            if fit.solution.multipliers is None:
+                assert alone.solution.multipliers is None
+            else:
+                assert fit.solution.multipliers.shape == (fit.architecture.rank,)
+                assert np.array_equal(alone.solution.multipliers, fit.solution.multipliers)
+
+    def test_padded_rows_take_no_newton_step(self, monkeypatch):
+        import maxentkit.solver as solver
+
+        jacobian, solve = solver._DenseRows.jacobian, np.linalg.solve
+        pending, steps = [], []
+
+        def spy_jacobian(self, stats):
+            pending[:] = [self.pad]
+            return jacobian(self, stats)
+
+        def spy_solve(a, b):
+            # The kernel solves each Jacobian it builds, in one batch.
+            x = solve(a, b)
+            if pending and a.ndim == 3:
+                steps.append((pending.pop(), x[:, :, 0]))
+            return x
+
+        monkeypatch.setattr(solver._DenseRows, "jacobian", spy_jacobian)
+        monkeypatch.setattr(np.linalg, "solve", spy_solve)
+        systems = library_systems(100, 0)
+        fit_linear_systems(systems)
+        padded = [(pad, delta) for pad, delta in steps if pad.any()]
+        assert padded
+        for pad, delta in padded:
+            assert np.all(delta[pad] == 0.0)
+            assert np.any(delta[~pad] != 0.0)
+
+    def test_padding_mask_is_not_read_from_zero_rows(self, rng):
+        # A real row that is zero on the states still takes its step.
+        rows = np.zeros((1, 3, 4))
+        rows[0, 0] = 1.0
+        pad = np.array([[False, False, True]])
+        dense = _DenseRows.padded(rows, pad)
+        jac = dense.jacobian(rng.dirichlet(np.ones(4))[None])
+        assert jac[0, 2, 2] == 1.0 and jac[0, 1, 1] == 0.0
+
+
+class TestFitTable:
+    @pytest.mark.parametrize("n, seed", LIBRARY_CASES)
+    def test_table_equals_the_object_view(self, n, seed):
+        systems = library_systems(n, seed)
+        table = _fit_table(systems, None)
+        fits = fit_linear_systems(systems)
+        failed = [i for i, fit in enumerate(fits) if isinstance(fit, SolverError)]
+        assert sorted(table.errors) == failed
+        assert np.flatnonzero(np.isnan(table.probabilities).all(axis=1)).tolist() == failed
+        assert not np.isnan(np.delete(table.probabilities, failed, axis=0)).any()
+        for i, fit in enumerate(fits):
+            if i in table.errors:
+                assert type(table.errors[i]) is type(fit)
+                assert str(table.errors[i]) == str(fit)
+                continue
+            assert np.array_equal(table.probabilities[i], fit.probabilities)
+            assert table.rank_eff[i] == fit.rank_effective
+
+    def test_empty_batch(self):
+        table = _fit_table([], None)
+        assert table.probabilities.shape[0] == 0 and not table.errors
 
 
 def mcs_order(cliques):
