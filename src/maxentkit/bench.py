@@ -75,7 +75,7 @@ from .ising import (
 )
 from .selection import METHODS, SelectionConfig, _score_fits, alpha_empirical, select_arrays
 from .simplex import _log_probs, _scaled_kl
-from .solver import _fit_table, _newton_passes, _ProductRows
+from .solver import _fit_table, _FitTable, _newton_passes, _ProductRows
 
 __all__ = [
     "BenchmarkConfig",
@@ -342,13 +342,6 @@ class _Context:
         return np.flatnonzero((self.closure_bits & ci) == ci)
 
 
-@dataclass
-class _FitTable:
-    probabilities: np.ndarray
-    rank_eff: np.ndarray
-    valid: np.ndarray
-
-
 def _fit_all_models(ctx: _Context, counts: np.ndarray, n: int) -> _FitTable:
     """Maximum-entropy fit of every candidate against one count vector."""
     a = ctx.n_states
@@ -378,16 +371,16 @@ def _fit_all_models(ctx: _Context, counts: np.ndarray, n: int) -> _FitTable:
     # lists set bits 1-based.
     rmats = [[0, *_from_mask(int(ctx.closure_bits[i]))] for i in robust]
     fits = _fit_table([CoefficientMatrix(ctx.zeta[r], m_frac[r]) for r in rmats], None)
+    errors = {}
     for k, i in enumerate(robust):
         if k in fits.errors:
-            log.warning(
-                "candidate %s dropped for this sample: %s", ctx.models[i].label, fits.errors[k]
-            )
+            errors[i] = fits.errors[k]
+            log.warning("candidate %s dropped for this sample: %s", ctx.models[i].label, errors[i])
             continue
         probs[i] = fits.probabilities[k]
         rank_eff[i] = fits.rank_eff[k]
-        valid[i] = True
-    return _FitTable(probabilities=probs, rank_eff=rank_eff, valid=valid)
+    # A dropped model keeps the rank its pattern gave it; truth.csv reports it.
+    return _FitTable(probs, rank_eff, errors)
 
 
 def _fit_pattern(

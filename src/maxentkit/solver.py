@@ -7,11 +7,14 @@ instead of diverging the multipliers.  Every system, reduced or not,
 is then canonicalized, one lockstep replay of the eliminations per row
 count and elimination length.  A saturated system is read off
 directly; the others are stacked by their count ``a'`` of working
-states, each system's rows padded with zero rows of target zero to the
-width ``a' - 1``, and each stack is solved by the one Newton kernel,
-:func:`_newton_iterate`.  A padded row gets a unit Jacobian diagonal,
-so its Newton step is exactly zero; the width depends on the system
-alone, so a system gets the same fit alone as in any stack.
+states and their padded width: on at most :data:`PAD_STATES` working
+states each system's rows are padded with zero rows of target zero to
+the width ``a' - 1``, so that systems of every rank share one stack;
+on larger spaces a system keeps its own rank as its width.  Each stack
+is solved by the one Newton kernel, :func:`_newton_iterate`.  A padded
+row gets a unit Jacobian diagonal, so its Newton step is exactly zero;
+the width depends on the system alone, so a system gets the same fit
+alone as in any stack.
 :func:`_fit_table` is that core: it returns the fits as one table of
 probabilities, with the effective ranks and the errors by index, which
 is all that scoring reads; :func:`fit_linear_systems` is the object
@@ -112,6 +115,15 @@ DAMPING_HALVINGS = 30
 
 #: Multiplier magnitude that signals diverging (infeasible) moments.
 _THETA_DIVERGED = 1e3
+
+#: Largest working space whose systems are all padded to ``a' - 1``
+#: rows, so that one Newton stack holds every rank.  Up to 16 states a
+#: step costs about the same at any width up to 15 rows, and merging
+#: the stacks pays (a select of the 167 four-spin models runs 1-2
+#: stacks instead of 15-17); on more states the padding's arithmetic
+#: outweighs that for a stack of one rank, as the Monte-Carlo refits and
+#: single fits are, so there each system keeps its rank as its width.
+PAD_STATES = 16
 
 
 def _snap_normalization(
@@ -439,34 +451,41 @@ def _fit_result(
 
 @dataclass(frozen=True)
 class _FitTable:
-    """The fits of :func:`_fit_table`, by system index.
+    """Fits of many systems on one state space, by system index.
 
     ``probabilities`` holds one row per system on the full state space,
     exact zeros on its excluded states, and NaN throughout where its fit
     failed; ``rank_eff`` the effective rank of each fit (see
-    :class:`FitResult`), 0 where it failed; ``errors`` the
-    :class:`SolverError` of each failed system.  For the object view,
-    ``working`` holds each system's entry of :func:`_working_systems`,
-    and ``iterations`` and ``residuals`` each fit's Newton steps (0 when
-    read off) and moment residual.
+    :class:`FitResult`), which :func:`_fit_table` sets to 0 where the fit
+    failed; ``errors`` the :class:`SolverError` of each failed system.
     """
 
     probabilities: np.ndarray
     rank_eff: np.ndarray
     errors: dict[int, SolverError]
-    working: list
-    iterations: np.ndarray
-    residuals: np.ndarray
+
+    @property
+    def valid(self) -> np.ndarray:
+        """Which systems have a fit."""
+        return ~np.isnan(self.probabilities).any(axis=1)
 
 
-def _padded_stack(architectures: Sequence[ArchitectureMatrix]) -> tuple["_DenseRows", np.ndarray]:
-    """The rows and targets of architectures with ``a'`` states and
-    rank below ``a'``, each padded with zero rows of target zero to the
-    width ``a' - 1``."""
-    n_working = architectures[0].n_states
+def _padded_width(rank: int, n_working: int) -> int:
+    """The row count a system of rank ``rank`` below its ``a'`` working
+    states is padded to: ``a' - 1`` on at most :data:`PAD_STATES`
+    working states, so that all such systems on one working space share
+    a stack; its own rank on more.  It depends on the system alone."""
+    return n_working - 1 if n_working <= PAD_STATES else rank
+
+
+def _padded_stack(
+    architectures: Sequence[ArchitectureMatrix], width: int
+) -> tuple["_DenseRows", np.ndarray]:
+    """The rows and targets of architectures with one count of states,
+    each padded with zero rows of target zero to ``width`` rows."""
     ranks = np.array([architecture.rank for architecture in architectures])
-    pad = np.arange(n_working - 1) >= ranks[:, None]
-    rows = np.zeros((*pad.shape, n_working))
+    pad = np.arange(width) >= ranks[:, None]
+    rows = np.zeros((*pad.shape, architectures[0].n_states))
     targets = np.zeros(pad.shape)
     # A mask fills its rows in row-major order: system by system.
     rows[~pad] = np.concatenate([architecture.rows for architecture in architectures])
@@ -479,17 +498,27 @@ def _fit_table(
     options: Optional[SolveOptions],
 ) -> _FitTable:
     """Canonicalize, reduce, and solve many raw constraint systems on
-    one state space, into one table of fits (see :class:`_FitTable`).
+    one state space, into one table of fits (see :class:`_FitTable`);
+    see :func:`_fit_stacks`."""
+    return _fit_stacks(systems, options)[0]
+
+
+def _fit_stacks(
+    systems: Sequence[Union[CoefficientMatrix, ArchitectureMatrix]],
+    options: Optional[SolveOptions],
+) -> tuple[_FitTable, list, np.ndarray, np.ndarray]:
+    """The fit core: the table of :func:`_fit_table` and, for the object
+    view, each system's entry of :func:`_working_systems` and each fit's
+    Newton steps (0 when read off) and moment residual.
 
     The binary systems run the exclusion cascade and every system is
     canonicalized on its working space (see :func:`_working_systems`).
     A saturated system is read off directly.  The others are stacked by
-    their count ``a'`` of working states, each padded to the width
-    ``a' - 1`` (see :func:`_padded_stack`), and each stack runs through
-    the passes of :func:`_newton_passes` from uniform.  The width
-    depends on the system alone, so a system's fit is the same in any
-    stack.  Input errors raise, as does a converged row that is not a
-    distribution.
+    their count ``a'`` of working states and their padded width (see
+    :func:`_padded_width`), and each stack runs through the passes of
+    :func:`_newton_passes` from uniform.  The width depends on the
+    system alone, so a system's fit is the same in any stack.  Input
+    errors raise, as does a converged row that is not a distribution.
     """
     opts = options or SolveOptions()
     n_systems = len(systems)
@@ -500,15 +529,16 @@ def _fit_table(
     residuals = np.zeros(n_systems)
     errors: dict[int, SolverError] = {}
     working = _working_systems(systems)
-    stacks: dict[int, list[int]] = defaultdict(list)
+    stacks: dict[tuple[int, int], list[int]] = defaultdict(list)
     for i, work in enumerate(working):
         if isinstance(work, SolverError):
             errors[i] = work
             continue
         _, architecture, excluded[i] = work
-        rank_eff[i] = architecture.rank
-        if architecture.rank < architecture.n_states:
-            stacks[architecture.n_states].append(i)
+        rank, n_working = architecture.rank, architecture.n_states
+        rank_eff[i] = rank
+        if rank < n_working:
+            stacks[n_working, _padded_width(rank, n_working)].append(i)
             continue
         try:
             p, residuals[i] = _saturated_point(architecture)
@@ -518,8 +548,8 @@ def _fit_table(
         probs[i] = 0.0
         probs[i, ~excluded[i]] = p
 
-    for members in stacks.values():
-        rows, targets = _padded_stack([working[i][1] for i in members])
+    for (_, width), members in stacks.items():
+        rows, targets = _padded_stack([working[i][1] for i in members], width)
         p, stack_residuals, _, steps, stack_errors = _newton_passes(rows, targets, opts)
         errors.update((members[k], exc) for k, exc in stack_errors.items())
         fitted = np.ones(len(members), dtype=bool)
@@ -535,7 +565,7 @@ def _fit_table(
     failed = list(errors)
     rank_eff[failed] = 0
     Distribution._check_rows(np.delete(probs, failed, axis=0))
-    return _FitTable(probs, rank_eff, errors, working, iterations, residuals)
+    return _FitTable(probs, rank_eff, errors), working, iterations, residuals
 
 
 def fit_linear_systems(
@@ -544,15 +574,15 @@ def fit_linear_systems(
 ) -> list[Union[FitResult, SolverError]]:
     """Canonicalize, reduce, and solve many raw constraint systems.
 
-    The systems of each state count are fitted by :func:`_fit_table`:
-    the binary ones run the exclusion cascade, every system is
-    canonicalized on its working space, a saturated one is read off
-    directly, and the others are solved in one padded Newton stack per
-    working-state count.  An architecture is its own canonical form, so
-    it may be passed as well.  Every system's fit depends on that system
-    alone, not on its stack.  This view builds each fit's
-    :class:`MaxEntSolution`, with its multipliers where the fit came
-    from Newton steps and is strictly positive.
+    The systems of each state count are fitted by the core of
+    :func:`_fit_table`: the binary ones run the exclusion cascade, every
+    system is canonicalized on its working space, a saturated one is
+    read off directly, and the others are solved in one padded Newton
+    stack per working-state count and padded width.  An architecture is
+    its own canonical form, so it may be passed as well.  Every system's
+    fit depends on that system alone, not on its stack.  This view
+    builds each fit's :class:`MaxEntSolution`, with its multipliers
+    where the fit came from Newton steps and is strictly positive.
 
     Returns one entry per system, in order: its :class:`FitResult`, or
     the :class:`SolverError` that stopped it.  Input errors raise.
@@ -562,21 +592,23 @@ def fit_linear_systems(
     for i, system in enumerate(systems):
         spaces[system.n_states].append(i)
     for members in spaces.values():
-        table = _fit_table([systems[i] for i in members], options)
+        table, working, iterations, residuals = _fit_stacks(
+            [systems[i] for i in members], options
+        )
         shapes: dict[tuple[int, int], list[int]] = defaultdict(list)
         for k, i in enumerate(members):
             if k in table.errors:
                 results[i] = table.errors[k]
             else:
-                shapes[table.working[k][1].rows.shape].append(k)
+                shapes[working[k][1].rows.shape].append(k)
         for (rank, n_working), ks in shapes.items():
-            rows = np.array([table.working[k][1].rows for k in ks])
-            p = np.array([table.probabilities[k][~table.working[k][2]] for k in ks])
+            rows = np.array([working[k][1].rows for k in ks])
+            p = np.array([table.probabilities[k][~working[k][2]] for k in ks])
             # A saturated fit is read off, not reached by Newton steps.
             finite = (p > 0.0).all(axis=1) & (rank < n_working)
-            solutions = _solutions(rows, p, table.residuals[ks], table.iterations[ks], finite)
+            solutions = _solutions(rows, p, residuals[ks], iterations[ks], finite)
             for k, solution in zip(ks, solutions):
-                _, architecture, excluded = table.working[k]
+                _, architecture, excluded = working[k]
                 results[members[k]] = _fit_result(
                     systems[members[k]], architecture, excluded, solution
                 )
@@ -720,9 +752,13 @@ class _DenseRows:
     def moments(self, stats: np.ndarray) -> np.ndarray:
         return (self.stack @ stats[:, :, None])[:, :, 0]
 
+    @cached_property
+    def _padding(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.nonzero(self.pad)
+
     def jacobian(self, stats: np.ndarray) -> np.ndarray:
         jacobian = (self.stack * stats[:, None, :]) @ self.stack.transpose(0, 2, 1)
-        system, row = np.nonzero(self.pad)
+        system, row = self._padding
         jacobian[system, row, row] += 1.0
         return jacobian
 

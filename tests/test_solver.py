@@ -1,4 +1,6 @@
+import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,10 +27,12 @@ from maxentkit.ising import (
 )
 from maxentkit.simplex import Distribution, entropy
 from maxentkit.solver import (
+    PAD_STATES,
     FitResult,
     SolveOptions,
     _DenseRows,
     _fit_table,
+    _padded_width,
     _newton_iterate,
     _newton_passes,
     _working_systems,
@@ -734,6 +738,49 @@ class TestPaddedStacks:
         dense = _DenseRows.padded(rows, pad)
         jac = dense.jacobian(rng.dirichlet(np.ones(4))[None])
         assert jac[0, 2, 2] == 1.0 and jac[0, 1, 1] == 0.0
+
+
+def sample_systems(models, seed):
+    """Each model's coefficient system on the moments of one random
+    distribution over its states."""
+    f = np.random.default_rng(seed).dirichlet(np.ones(models[0].n_states))
+    return [CoefficientMatrix(rows, rows @ f)
+            for rows in (to_coefficients(model).rows for model in models)]
+
+
+class TestPaddingWidth:
+    def test_small_spaces_pad_to_one_width_larger_keep_their_rank(self):
+        assert [_padded_width(r, 16) for r in (1, 5, 11, 15)] == [15] * 4
+        assert _padded_width(3, 4) == 3
+        assert _padded_width(11, PAD_STATES + 1) == 11
+        assert _padded_width(79, 4096) == 79
+
+    def test_alone_equals_batch_on_a_larger_space(self):
+        # 32 states: every stack holds one rank.
+        systems = sample_systems(enumerate_models(5)[::150], 0)
+        assert len({fit.rank_effective for fit in fit_linear_systems(systems)}) > 5
+        for system, fit in zip(systems, fit_linear_systems(systems)):
+            alone = fit_linear_system(system)
+            assert np.array_equal(alone.probabilities, fit.probabilities)
+            assert alone.solution.iterations == fit.solution.iterations
+            assert np.array_equal(alone.solution.multipliers, fit.solution.multipliers)
+
+    @pytest.mark.parametrize("interactions", [
+        [(1,), (2,)], list(itertools.combinations(range(1, 13), 2)),
+    ])
+    def test_low_rank_model_on_twelve_spins_fits_at_its_rank(self, interactions):
+        # On 4 096 states a stack padded to a' - 1 rows, or its
+        # Jacobian, takes 134 MB; at rank 3 or 79 it takes 3 MB at most.
+        (system,) = sample_systems([SpinModel.from_interactions(interactions, 12)], 1)
+        tracemalloc.start()
+        try:
+            fit = fit_linear_system(system)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fit.solution.residual <= 1e-10
+        assert fit.solution.multipliers.shape == (system.rows.shape[0],)
+        assert peak < 32 * 2**20
 
 
 class TestFitTable:
