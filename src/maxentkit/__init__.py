@@ -22,12 +22,7 @@ from .constraints import (
     ArchitectureMatrix,
     CoefficientMatrix,
     KernelBasis,
-    NestingMap,
-    SupportReduction,
-    induced_moments,
     kernel_basis,
-    nesting_map,
-    reduce_binary_support,
     to_architecture,
 )
 from .errors import (
@@ -68,7 +63,6 @@ from .selection import (
     asymptotic_test_error,
     asymptotic_training_error,
     bic,
-    chi2_cdf,
     empirical_p_value,
     expected_entropy,
     lrt_p_value,
@@ -94,7 +88,6 @@ from .solver import (
     fit_linear_systems,
     sample_equivalence_class,
     solve_ipf,
-    solve_newton,
 )
 
 __version__ = "0.1.0"

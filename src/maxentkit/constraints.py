@@ -20,8 +20,8 @@ Conventions enforced here:
   (a binary constraint row with target zero, or with target one, which
   zeroes the complement) are removed from the working space before any
   solve.  :func:`_support_reductions` runs that exclusion cascade on a
-  stack of binary systems at once, and :func:`reduce_binary_support` on
-  one, reporting the mask back to the full space.
+  stack of binary systems at once, reporting each mask back to the full
+  space.
 """
 
 from __future__ import annotations
@@ -45,14 +45,9 @@ __all__ = [
     "CoefficientMatrix",
     "ArchitectureMatrix",
     "KernelBasis",
-    "NestingMap",
-    "SupportReduction",
     "to_architecture",
-    "induced_moments",
     "is_nested",
     "kernel_basis",
-    "nesting_map",
-    "reduce_binary_support",
 ]
 
 log = logging.getLogger(__name__)
@@ -356,25 +351,6 @@ class KernelBasis:
         return self.vectors.shape[0]
 
 
-@dataclass(frozen=True)
-class NestingMap:
-    """Certificate that one architecture is implied by a finer one.
-
-    ``simple.rows == matrix @ complex.rows`` within :data:`NESTING_TOL`.
-    """
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        matrix = np.array(self.matrix, dtype=float)
-        if matrix.ndim != 2:
-            raise InputError("nesting map must be a 2-d matrix")
-        if np.linalg.matrix_rank(matrix) != matrix.shape[0]:
-            raise RankDeficiencyError("nesting map must have full row rank")
-        matrix.setflags(write=False)
-        object.__setattr__(self, "matrix", matrix)
-
-
 class _Elimination(NamedTuple):
     """Gauss-Jordan elimination of a row matrix, kept to be replayed on
     moment vectors (see :func:`_eliminate`)."""
@@ -518,17 +494,6 @@ def to_architecture(
     return architecture
 
 
-def induced_moments(
-    system: Union[CoefficientMatrix, ArchitectureMatrix],
-    p: Union[Distribution, np.ndarray],
-) -> np.ndarray:
-    """Moments of ``p`` under the system's rows, ``rows @ p``."""
-    probs = prob_array(p)
-    if probs.shape[0] != system.rows.shape[1]:
-        raise InputError("distribution and system disagree on state count")
-    return system.rows @ probs
-
-
 def kernel_basis(
     architecture: ArchitectureMatrix,
     anchor: Union[Distribution, np.ndarray],
@@ -575,41 +540,6 @@ def is_nested(simple: ArchitectureMatrix, complex_: ArchitectureMatrix) -> bool:
     return _max_abs(simple.moments - matrix @ complex_.moments) <= NESTING_TOL
 
 
-def nesting_map(
-    simple: ArchitectureMatrix, complex_: ArchitectureMatrix
-) -> Optional[NestingMap]:
-    """Factor ``simple`` through ``complex_`` if the models are nested.
-
-    Returns a :class:`NestingMap` with
-    ``simple.rows == map.matrix @ complex_.rows`` when :func:`is_nested`
-    holds, and ``None`` otherwise.
-    """
-    if not is_nested(simple, complex_):
-        return None
-    return NestingMap(simple.rows[:, complex_.pivot_columns])
-
-
-@dataclass(frozen=True)
-class SupportReduction:
-    """Result of the zero-moment exclusion cascade.
-
-    ``excluded`` masks states of the full space whose probability is
-    forced to zero, ``kept_rows`` indexes the surviving constraint rows,
-    and ``rows`` / ``moments`` form the reduced system on the working
-    space (columns where ``excluded`` is false).  The reduced system
-    keeps the normalization row and may still contain redundant rows.
-    """
-
-    excluded: np.ndarray
-    kept_rows: np.ndarray
-    rows: np.ndarray
-    moments: np.ndarray
-
-    @property
-    def n_excluded(self) -> int:
-        return int(self.excluded.sum())
-
-
 def _support_reductions(
     supports: np.ndarray, moments: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, dict[int, Union[InputError, InfeasibleMomentsError]]]:
@@ -651,37 +581,3 @@ def _support_reductions(
         else:
             errors[k] = InfeasibleMomentsError("infeasible moments: every state was excluded")
     return excluded, ~is_zero & (surviving > 0), errors
-
-
-def reduce_binary_support(rows: np.ndarray, moments: np.ndarray) -> SupportReduction:
-    """Remove states pinned to zero probability by binary moments.
-
-    A binary row with target moment zero forces every state of its
-    support to probability zero; a row with target moment one forces the
-    complement to zero.  Exclusions cascade: once states are removed, a
-    row whose remaining support empties while its target stays positive,
-    or whose remaining support covers the whole working space while its
-    target stays below one, proves the moments infeasible.  This is
-    :func:`_support_reductions` on a stack of one.
-
-    Parameters
-    ----------
-    rows : ndarray
-        Binary coefficient matrix including the normalization row.
-    moments : ndarray
-        Target moments, entrywise in ``[0, 1]``.
-    """
-    mat = np.asarray(rows, dtype=float)
-    m = np.asarray(moments, dtype=float)
-    if not np.all((mat == 0.0) | (mat == 1.0)):
-        raise InputError("support reduction requires binary rows")
-    (excluded,), (kept,), errors = _support_reductions((mat == 1.0)[None], m[None])
-    if errors:
-        raise errors[0]
-    kept_rows = np.flatnonzero(kept)
-    return SupportReduction(
-        excluded=excluded,
-        kept_rows=kept_rows,
-        rows=mat[np.ix_(kept_rows, np.flatnonzero(~excluded))],
-        moments=m[kept_rows],
-    )

@@ -8,6 +8,23 @@ maps these groups onto distinct exit codes.
 
 from __future__ import annotations
 
+__all__ = [
+    "MaxentError",
+    "InputError",
+    "SupportViolationError",
+    "RankDeficiencyError",
+    "NotNestedError",
+    "SolverError",
+    "InconsistentSystemError",
+    "ConvergenceError",
+    "SingularJacobianError",
+    "InfeasibleMomentsError",
+    "ZeroMarginalError",
+    "RejectionExhaustedError",
+    "SelectionError",
+    "NoSolvableCandidateError",
+]
+
 
 class MaxentError(Exception):
     """Base class for all maxentkit errors."""

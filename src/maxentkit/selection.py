@@ -33,10 +33,10 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-from scipy.special import gammainc, gammaincc, xlogy
+from scipy.special import gammaincc, xlogy
 
 from .constraints import (
     ArchitectureMatrix,
@@ -66,7 +66,6 @@ __all__ = [
     "SelectionConfig",
     "SelectionResult",
     "ErrorEstimate",
-    "chi2_cdf",
     "empirical_p_value",
     "lrt_p_value",
     "bic",
@@ -76,7 +75,6 @@ __all__ = [
     "alpha_lrt",
     "score_candidates",
     "select",
-    "select_scored",
     "select_arrays",
     "mc_training_error",
     "mc_test_error",
@@ -91,18 +89,6 @@ METHODS = ("bic", "aic", "hyper_maxent", "hyper_maxent_lrt")
 #: Entropy deficits larger than this are treated as solver failures
 #: rather than rounding noise.
 _DELTA_NEGATIVE_LIMIT = 1e-8
-
-
-def chi2_cdf(k: int, x: float) -> float:
-    """Chi-squared cumulative distribution with ``k >= 1`` degrees of freedom.
-
-    Evaluates the regularized lower incomplete gamma ``P(k/2, x/2)``.
-    """
-    if k < 1:
-        raise InputError("degrees of freedom must be at least 1")
-    if x < 0.0:
-        raise InputError("chi-squared statistic must be nonnegative")
-    return float(gammainc(k / 2.0, x / 2.0))
 
 
 def _chi2_tail(dof: np.ndarray, stat: np.ndarray) -> np.ndarray:
@@ -320,7 +306,8 @@ class SelectionConfig:
     """Method choice plus the optional threshold prefactor.
 
     The thresholds ``(a - d) / n`` and ``(2 a - d - d') / n`` are scaling
-    proposals; ``alpha_prefactor`` rescales both and defaults to one.
+    proposals; ``alpha_prefactor``, finite and positive, rescales both
+    and defaults to one.
     """
 
     method: str = "bic"
@@ -331,8 +318,8 @@ class SelectionConfig:
             raise InputError(
                 f"unknown method {self.method!r}; expected one of {METHODS}"
             )
-        if self.alpha_prefactor <= 0.0:
-            raise InputError("alpha_prefactor must be positive")
+        if not (math.isfinite(self.alpha_prefactor) and self.alpha_prefactor > 0.0):
+            raise InputError("alpha_prefactor must be finite and positive")
 
 
 class ScoreTable(Sequence[ModelScore]):
@@ -430,9 +417,9 @@ def score_candidates(
     """
     if ids is None:
         ids = list(range(len(candidates)))
-    table, _, valid, h_f = _score_and_fit(candidates, f, n, ids, options)
+    table, columns, h_f = _score_and_fit(candidates, f, n, ids, options)
     rows = iter(table)
-    return [next(rows) if ok else None for ok in valid], h_f
+    return [next(rows) if ok else None for ok in columns[-1]], h_f
 
 
 def _score_fits(
@@ -467,12 +454,13 @@ def _score_and_fit(
     n: int,
     ids: Sequence[Union[int, str]],
     options: Optional[SolveOptions],
-) -> tuple[ScoreTable, dict[str, np.ndarray], np.ndarray, float]:
+) -> tuple[ScoreTable, tuple[np.ndarray, ...], float]:
     """Fit and score every candidate; failures, entropy deficits
     included, are logged, not raised.  Returns the solvable candidates'
-    :class:`ScoreTable`, every candidate's score columns that
-    :func:`_select_columns` reads, keyed by :class:`ModelScore` field,
-    the mask of solvable candidates, and the empirical entropy."""
+    :class:`ScoreTable`, every candidate's columns in the order
+    :func:`select_arrays` takes them (effective rank, MaxEnt entropy,
+    p-value, BIC, AIC and the mask of solvable candidates), and the
+    empirical entropy."""
     if not candidates:
         raise InputError("need at least one candidate")
     probs = prob_array(f)
@@ -483,15 +471,11 @@ def _score_and_fit(
     h_hat, h_f, p_value, bic_score, aic_score, valid = _score_fits(
         table.probabilities, probs, rank, n, ids.__getitem__
     )
-    columns = dict(
-        rank=rank, n_states=np.full(rank.size, probs.size), maxent_entropy=h_hat,
-        p_value=p_value, bic=bic_score, aic=aic_score,
-    )
     table = ScoreTable(
         [cid for cid, ok in zip(ids, valid) if ok],
         h_hat[valid], rank[valid], h_f, probs.size, n,
     )
-    return table, columns, valid, h_f
+    return table, (rank, h_hat, p_value, bic_score, aic_score, valid), h_f
 
 
 def select_arrays(
@@ -511,8 +495,11 @@ def select_arrays(
     ``implying(i)`` must yield the indices of every candidate whose
     constraint set contains candidate ``i``'s; it is only consulted by
     ``hyper_maxent_lrt`` and may include ``i`` itself or invalid entries,
-    which are ignored.  Ties break toward the smallest index, so callers
-    should order candidates canonically.  Returns ``(index, fallback)``.
+    which are ignored.  :func:`select` builds it from the candidates'
+    canonical rows (:func:`_nesting_implies`), the benchmark sweep from
+    its library's closures.  Ties break toward the smallest index, so
+    callers should order candidates canonically.  Returns
+    ``(index, fallback)``.
     """
     valid = np.asarray(valid, dtype=bool)
     if not valid.any():
@@ -555,57 +542,16 @@ def _highest_rank(rank: np.ndarray, valid: np.ndarray) -> int:
     return int(idx[np.lexsort((idx, -rank[idx]))[0]])
 
 
-def select_scored(
-    scores: Sequence[Optional[ModelScore]],
-    n: int,
-    config: SelectionConfig,
-    implies: Optional[Callable[[int, int], bool]] = None,
-) -> tuple[int, bool]:
-    """Apply a selection procedure to an existing score table.
-
-    ``implies(i, j)`` must report whether candidate ``j`` implies
-    candidate ``i`` (is at least as constrained); it is only consulted by
-    ``hyper_maxent_lrt``.  Returns ``(index, fallback)`` into ``scores``.
-    """
-    fields = ("rank", "n_states", "maxent_entropy", "p_value", "bic", "aic")
-    columns = {k: np.array([getattr(s, k) if s is not None else 0 for s in scores]) for k in fields}
-    valid = np.array([s is not None for s in scores], dtype=bool)
-    return _select_columns(columns, valid, n, config, implies)
-
-
-def _select_columns(
-    columns: Mapping[str, np.ndarray],
-    valid: np.ndarray,
-    n: int,
-    config: SelectionConfig,
-    implies: Optional[Callable[[int, int], bool]],
-) -> tuple[int, bool]:
-    """:func:`select_arrays` on score columns keyed by :class:`ModelScore`
-    field, with the pairwise ``implies`` of :func:`select_scored`."""
-    implying = None
-    if implies is not None:
-        rank = columns["rank"]
-
-        def implying(i: int) -> list[int]:
-            # select_arrays reads only the valid candidates of higher rank.
-            higher = np.flatnonzero(valid & (rank > rank[i])).tolist()
-            return [j for j in higher if implies(i, j)]
-
-    # Every candidate shares one state space; take the first valid one's.
-    n_states = columns["n_states"][valid]
-    return select_arrays(
-        columns["rank"], columns["maxent_entropy"], columns["p_value"],
-        columns["bic"], columns["aic"], valid,
-        int(n_states[0]) if n_states.size else 0, n, config, implying,
-    )
-
-
 def _nesting_implies(
     candidates: Sequence[Union[ArchitectureMatrix, CoefficientMatrix]],
     valid: np.ndarray,
-) -> Callable[[int, int], bool]:
-    """Nesting among the solvable candidates, read from their canonical
-    rows alone: a coefficient system's RREF, an architecture's own rows.
+    rank: np.ndarray,
+) -> Callable[[int], list[int]]:
+    """The ``implying(i)`` oracle of :func:`select_arrays` for solvable
+    candidate ``i``: the solvable candidates of higher effective rank
+    ``rank`` that imply it, the only ones that function reads.  Nesting
+    is read from the canonical rows alone: a coefficient system's RREF,
+    an architecture's own rows.
 
     :meth:`~maxentkit.constraints._RowForm.within` keeps each answer on
     the forms, across samples.  :func:`select` fits every candidate on
@@ -622,10 +568,11 @@ def _nesting_implies(
         for cand, ok in zip(candidates, valid.tolist())
     ]
 
-    def implies(i: int, j: int) -> bool:
-        return forms[i] is not None and forms[j] is not None and forms[i].within(forms[j])
+    def implying(i: int) -> list[int]:
+        higher = np.flatnonzero(valid & (rank > rank[i])).tolist()
+        return [j for j in higher if forms[i].within(forms[j])]
 
-    return implies
+    return implying
 
 
 def select(
@@ -635,7 +582,6 @@ def select(
     config: SelectionConfig,
     *,
     ids: Optional[Sequence[Union[int, str]]] = None,
-    implies: Optional[Callable[[int, int], bool]] = None,
     options: Optional[SolveOptions] = None,
 ) -> SelectionResult:
     """Score all candidates and apply the configured procedure.
@@ -643,18 +589,18 @@ def select(
     Unsolvable candidates are dropped with a warning; if none survive,
     :class:`NoSolvableCandidateError` is raised.  Every candidate is
     fitted on the moments ``f`` induces, an architecture's own moments
-    ignored.  When no implication oracle is supplied, nesting is
-    decided from the candidates' full-space canonical rows (see
-    :func:`_nesting_implies`), so the moments are ignored there too.
+    ignored.  For ``hyper_maxent_lrt``, nesting is decided from the
+    candidates' full-space canonical rows (see :func:`_nesting_implies`),
+    so the moments are ignored there too.
     """
     if ids is None:
         ids = list(range(len(candidates)))
-    table, columns, valid, _ = _score_and_fit(candidates, f, n, ids, options)
-
-    if implies is None and config.method == "hyper_maxent_lrt":
-        implies = _nesting_implies(candidates, valid)
-
-    index, fallback = _select_columns(columns, valid, n, config, implies)
+    table, columns, _ = _score_and_fit(candidates, f, n, ids, options)
+    rank, valid = columns[0], columns[-1]
+    implying = None
+    if config.method == "hyper_maxent_lrt":
+        implying = _nesting_implies(candidates, valid, rank)
+    index, fallback = select_arrays(*columns, candidates[0].n_states, n, config, implying)
     return SelectionResult(
         chosen_id=ids[index],
         chosen_index=index,

@@ -177,13 +177,12 @@ class Distribution:
     def stack(cls, probs: np.ndarray) -> list["Distribution"]:
         """Each row of the 2-d array ``probs`` as a distribution.
 
-        The checks of the constructor run once on the whole stack, and
-        the first row that fails raises what its own constructor would
-        (a row sum along the contiguous axis has the same bits as the
-        sum of that row alone).  The rows are read-only views of
-        ``probs``, which the caller hands over and must not write to.
+        The rows are not checked again: they must have passed
+        :meth:`_check_rows`, which raises what the constructor of the
+        first row that is not a distribution would.  The rows are
+        read-only views of ``probs``, which the caller hands over and
+        must not write to.
         """
-        cls._check_rows(probs)
         probs.setflags(write=False)
         out = []
         for row in probs:

@@ -43,8 +43,7 @@ passes of the kernel: undamped; undamped again from uniform for the
 warm-started systems the first pass flags (singular, runaway or
 unconverged); and damped from uniform for the systems still flagged,
 each with its own step size and its own typed error.
-:func:`solve_newton` is the damped pass on a stack of one, and
-:func:`fit_linear_system` the one-system call of the fit path, so a
+:func:`fit_linear_system` is the one-system call of the fit path, so a
 system gets the same fit alone as inside a batch.
 
 :func:`solve_ipf` reaches the same distribution by multiplicative
@@ -55,9 +54,11 @@ cross-check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from collections import defaultdict
+from numbers import Integral
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -86,7 +87,6 @@ __all__ = [
     "SolveOptions",
     "MaxEntSolution",
     "FitResult",
-    "solve_newton",
     "solve_ipf",
     "fit_linear_system",
     "fit_linear_systems",
@@ -146,10 +146,11 @@ def _snap_normalization(
 class SolveOptions:
     """Shared solver settings.
 
-    ``max_iterations`` caps the Newton steps of each pass: of the damped
-    pass (and so :func:`solve_newton`), :data:`NEWTON_DEFAULT_ITERATIONS`
-    when unset; of each undamped pass, never more than
-    :data:`BATCH_ITERATIONS`.  For :func:`solve_ipf` it caps the
+    ``tolerance`` must be finite and positive, and ``max_iterations``,
+    when set, an integer of at least one.  ``max_iterations`` caps the
+    Newton steps of each pass: of the damped pass,
+    :data:`NEWTON_DEFAULT_ITERATIONS` when unset; of each undamped pass,
+    never more than :data:`BATCH_ITERATIONS`.  For :func:`solve_ipf` it caps the
     single-constraint updates, :data:`IPF_DEFAULT_UPDATES` when unset.
     """
 
@@ -157,10 +158,13 @@ class SolveOptions:
     max_iterations: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.tolerance <= 0.0:
-            raise InputError("tolerance must be positive")
-        if self.max_iterations is not None and self.max_iterations < 1:
-            raise InputError("max_iterations must be at least 1")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
+            raise InputError("tolerance must be finite and positive")
+        cap = self.max_iterations
+        if cap is not None and (
+            isinstance(cap, bool) or not isinstance(cap, Integral) or cap < 1
+        ):
+            raise InputError("max_iterations must be an integer of at least 1")
 
 
 @dataclass(frozen=True)
@@ -216,49 +220,6 @@ def _classify_failure(
     if p.min() < 1e-13 or np.abs(_multipliers(rows[None], p[None])).max() > _THETA_DIVERGED:
         return InfeasibleMomentsError("moments appear infeasible (multipliers diverge): " + detail)
     return ConvergenceError("no convergence: " + detail)
-
-
-def solve_newton(
-    architecture: ArchitectureMatrix,
-    options: Optional[SolveOptions] = None,
-) -> MaxEntSolution:
-    """Maximum-entropy distribution of an architecture by damped Newton.
-
-    This is the damped pass of the Newton kernel (see
-    :func:`_newton_passes`) on a stack of one, from uniform.
-
-    Parameters
-    ----------
-    architecture : ArchitectureMatrix
-        Canonical full-row-rank system whose moments lie strictly inside
-        the feasible polytope.  States pinned to zero probability must
-        have been excluded beforehand (see :func:`fit_linear_system`).
-    options : SolveOptions, optional
-
-    Returns
-    -------
-    MaxEntSolution
-        Strictly positive solution with moment residual at or below the
-        tolerance and recovered exponential-family multipliers.
-
-    Raises
-    ------
-    SingularJacobianError
-        If the Jacobian loses rank numerically.
-    InfeasibleMomentsError
-        If the residual stalls above tolerance while the multipliers
-        diverge, the signature of boundary or unreachable moments.
-    ConvergenceError
-        If the iteration budget runs out without either of the above.
-    """
-    rows = architecture.rows[None]
-    p, residuals, _, steps, errors = _damped_pass(
-        rows, architecture.moments[None], options or SolveOptions()
-    )
-    if errors:
-        raise errors[0]
-    (solution,) = _solutions(rows, p, residuals, steps, (p > 0.0).all(axis=1))
-    return solution
 
 
 def solve_ipf(
@@ -697,11 +658,13 @@ def _solutions(
     finite: np.ndarray,
 ) -> list[MaxEntSolution]:
     """Per system of a stack of converged fits ``p`` on the rows
-    ``row_stack``, its solution.  The systems at the mask ``finite``,
-    whose fits must be strictly positive, get multipliers: the least
-    squares of ``log p`` on the rows.  A state whose probability
-    underflowed to zero has no finite multipliers, and such a fit
-    reports none."""
+    ``row_stack``, its solution.  The fits are rows of the table of
+    :func:`_fit_stacks`, which has checked them, so they are not checked
+    again (see :meth:`Distribution.stack`).  The systems at the mask
+    ``finite``, whose fits must be strictly positive, get multipliers:
+    the least squares of ``log p`` on the rows.  A state whose
+    probability underflowed to zero has no finite multipliers, and such
+    a fit reports none."""
     theta = np.zeros(row_stack.shape[:2])
     if finite.any():
         theta[finite] = _multipliers(row_stack[finite], p[finite])

@@ -145,6 +145,17 @@ class TestExitCodes:
     def test_missing_file(self):
         assert main(["fit", "/nonexistent/constraints.json"]) == 2
 
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_non_finite_tolerance_exit_2(self, tmp_path, tol, capsys):
+        # At an infinite tolerance the uniform start would pass as the
+        # fit; at NaN the fit would stop as unconverged at residual 0.
+        constraints = write_json(
+            tmp_path / "pairs.json",
+            {"rows": [[1, 1, 1, 1], [0, 0, 1, 1], [0, 0, 0, 1]], "moments": [1.0, 0.3, 0.6]},
+        )
+        assert main(["fit", constraints, "--tol", tol]) == 2
+        assert "tolerance" in capsys.readouterr().err
+
     def test_malformed_json(self, tmp_path):
         bad = write(tmp_path / "bad.json", "{rows: oops")
         assert main(["fit", bad]) == 2
@@ -284,6 +295,16 @@ class TestSelect:
             tmp_path / "counts.csv",
             "microstate_label,count\n00,180\n01,420\n10,120\n11,280\n",
         )
+
+    @pytest.mark.parametrize("prefactor", ["nan", "inf"])
+    def test_non_finite_alpha_prefactor_exit_2(
+        self, candidate_dir, product_counts, prefactor, capsys
+    ):
+        # Every threshold fails on a NaN or infinite prefactor, which
+        # would report the saturated fallback as the selection.
+        args = ["select", str(candidate_dir), product_counts, "--method", "hyper_maxent"]
+        assert main([*args, "--alpha-prefactor", prefactor]) == 2
+        assert "alpha_prefactor" in capsys.readouterr().err
 
     def test_recovers_marginal_model(self, candidate_dir, product_counts, capsys):
         assert main(["select", str(candidate_dir), product_counts]) == 0

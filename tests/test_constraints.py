@@ -10,23 +10,30 @@ from maxentkit.constraints import (
     ArchitectureMatrix,
     CoefficientMatrix,
     KernelBasis,
-    NestingMap,
-    induced_moments,
     is_nested,
     kernel_basis,
     _support_reductions,
-    nesting_map,
-    reduce_binary_support,
     to_architecture,
 )
 from maxentkit.errors import (
     InconsistentSystemError,
     InfeasibleMomentsError,
     InputError,
-    RankDeficiencyError,
 )
 from maxentkit.simplex import Distribution
 from maxentkit.solver import fit_linear_system, fit_linear_systems
+
+
+def support_reduction(rows, moments):
+    """The exclusion cascade of one binary system, ``_support_reductions``
+    on a stack of one: the excluded states, the indices of the kept
+    rows, and the kept rows and moments on the working states.  Raises
+    the error that stops the system."""
+    rows, moments = np.asarray(rows, dtype=float), np.asarray(moments, dtype=float)
+    (excluded,), (kept,), errors = _support_reductions((rows == 1.0)[None], moments[None])
+    if errors:
+        raise errors[0]
+    return excluded, np.flatnonzero(kept), rows[np.ix_(kept, ~excluded)], moments[kept]
 
 
 def marginal_2x2():
@@ -281,8 +288,7 @@ class TestLockstepReplay:
         for system, fit in zip(systems, fits):
             rows, moments = system.rows, system.moments
             if fit.excluded.any():
-                reduction = reduce_binary_support(rows, moments)
-                rows, moments = reduction.rows, reduction.moments
+                _, _, rows, moments = support_reduction(rows, moments)
             reference_rows, canonical, _ = augmented_rref(rows, moments)
             assert np.array_equal(fit.architecture.rows, reference_rows)
             assert np.array_equal(fit.architecture.moments, canonical)
@@ -325,13 +331,6 @@ class TestArchitectureMatrix:
         assert caplog.text == ""
 
 
-class TestInducedMoments:
-    def test_matches_matrix_product(self):
-        system = marginal_2x2()
-        p = np.array([0.18, 0.42, 0.12, 0.28])
-        assert np.allclose(induced_moments(system, p), system.rows @ p)
-
-
 class TestKernelBasis:
     def test_dimension_and_orthogonality(self):
         arch = to_architecture(marginal_2x2())
@@ -353,21 +352,25 @@ class TestKernelBasis:
 
 
 class TestNestingMap:
+    """Nesting of architectures, :func:`is_nested`."""
+
     def test_marginals_nest_in_pairwise(self):
         simple = to_architecture(marginal_2x2())
         rows = np.vstack([marginal_2x2().rows, [[0.0, 0.0, 0.0, 1.0]]])
         moments = np.array([1.0, 0.4, 0.7, 0.28])
         complex_ = to_architecture(CoefficientMatrix(rows, moments))
-        mapping = nesting_map(simple, complex_)
-        assert mapping is not None
-        assert np.max(np.abs(simple.rows - mapping.matrix @ complex_.rows)) < 1e-9
+        assert is_nested(simple, complex_)
+        # The coefficients of the factorization are simple's entries in
+        # complex_'s pivot columns.
+        matrix = simple.rows[:, complex_.pivot_columns]
+        assert np.max(np.abs(simple.rows - matrix @ complex_.rows)) < 1e-9
 
     def test_moment_mismatch_is_not_nested(self):
         simple = to_architecture(marginal_2x2())
         rows = np.vstack([marginal_2x2().rows, [[0.0, 0.0, 0.0, 1.0]]])
         moments = np.array([1.0, 0.5, 0.7, 0.28])
         complex_ = to_architecture(CoefficientMatrix(rows, moments))
-        assert nesting_map(simple, complex_) is None
+        assert not is_nested(simple, complex_)
 
     def test_unrelated_rows_not_nested(self):
         simple = to_architecture(
@@ -377,7 +380,7 @@ class TestNestingMap:
             )
         )
         complex_ = to_architecture(marginal_2x2())
-        assert nesting_map(simple, complex_) is None
+        assert not is_nested(simple, complex_)
 
     def test_is_nested_keeps_rows_test_not_moments(self):
         simple = to_architecture(marginal_2x2())
@@ -386,10 +389,11 @@ class TestNestingMap:
         unrelated = to_architecture(CoefficientMatrix(
             np.array([[1.0, 1.0, 1.0, 1.0], [0.0, 1.0, 1.0, 0.0]]), np.array([1.0, 0.5]),
         ))
+        # The second round reads the rows test kept on the forms.
         for _ in range(2):
-            for a, b in [(simple, complex_), (complex_, simple), (unrelated, complex_)]:
-                assert is_nested(a, b) == (nesting_map(a, b) is not None)
-        assert is_nested(simple, complex_)
+            assert [is_nested(a, b) for a, b in [
+                (simple, complex_), (complex_, simple), (unrelated, complex_)
+            ]] == [True, False, False]
         # The same rows with other moments share the kept rows test, and
         # their moments are still tested.
         moved = simple.with_moments(np.array([0.25, 0.35, 0.4]))
@@ -407,33 +411,32 @@ class TestNestingMap:
         assert 0.0 < abs(arch.rows[1, 1]) < 1e-12
         assert arch.pivot_columns.tolist() == [0, 2]
         assert is_nested(arch, arch)
-        assert np.array_equal(nesting_map(arch, arch).matrix, np.eye(2))
-
-    def test_map_requires_full_rank(self):
-        with pytest.raises(RankDeficiencyError):
-            NestingMap(np.array([[1.0, 0.0], [2.0, 0.0]]))
+        assert np.array_equal(arch.rows[:, arch.pivot_columns], np.eye(2))
 
 
 class TestReduceBinarySupport:
+    """The exclusion cascade, :func:`_support_reductions`."""
+
     def test_no_boundary_is_identity(self):
         system = marginal_2x2()
-        red = reduce_binary_support(system.rows, system.moments)
-        assert not red.excluded.any()
-        assert red.n_excluded == 0
-        assert np.array_equal(red.rows, system.rows)
+        excluded, kept, rows, _ = support_reduction(system.rows, system.moments)
+        assert not excluded.any()
+        assert kept.tolist() == [0, 1, 2]
+        assert np.array_equal(rows, system.rows)
 
     def test_zero_moment_excludes_support(self):
         rows = marginal_2x2().rows
         moments = np.array([1.0, 0.0, 0.7])
-        red = reduce_binary_support(rows, moments)
-        # Spin-1 marginal of zero removes states 10 and 11.
-        assert red.excluded.tolist() == [False, False, True, True]
+        excluded, kept, _, _ = support_reduction(rows, moments)
+        # Spin-1 marginal of zero removes states 10 and 11, and its row.
+        assert excluded.tolist() == [False, False, True, True]
+        assert kept.tolist() == [0, 2]
 
     def test_saturated_moment_excludes_complement(self):
         rows = marginal_2x2().rows
         moments = np.array([1.0, 1.0, 0.7])
-        red = reduce_binary_support(rows, moments)
-        assert red.excluded.tolist() == [True, True, False, False]
+        excluded, _, _, _ = support_reduction(rows, moments)
+        assert excluded.tolist() == [True, True, False, False]
 
     def test_cascade(self):
         # Zeroing the second state forces the third row to saturate on
@@ -446,9 +449,9 @@ class TestReduceBinarySupport:
             ]
         )
         moments = np.array([1.0, 0.0, 0.4])
-        red = reduce_binary_support(rows, moments)
-        assert red.excluded.tolist() == [False, True, False, False]
-        assert red.rows.shape[1] == 3
+        excluded, _, rows, _ = support_reduction(rows, moments)
+        assert excluded.tolist() == [False, True, False, False]
+        assert rows.shape[1] == 3
 
     def test_positive_target_with_empty_support_infeasible(self):
         rows = np.array(
@@ -461,7 +464,7 @@ class TestReduceBinarySupport:
         # The second row zeroes states 1 and 2, leaving the third row a
         # positive target with no support.
         with pytest.raises(InfeasibleMomentsError, match="infeasible"):
-            reduce_binary_support(rows, np.array([1.0, 0.0, 0.5]))
+            support_reduction(rows, np.array([1.0, 0.0, 0.5]))
 
     def test_saturation_short_of_one_infeasible(self):
         rows = np.array(
@@ -474,11 +477,11 @@ class TestReduceBinarySupport:
         # Excluding state 0 makes the second row cover everything that is
         # left, so its target 0.9 < 1 cannot be met.
         with pytest.raises(InfeasibleMomentsError, match="infeasible"):
-            reduce_binary_support(rows, np.array([1.0, 0.9, 1.0]))
+            support_reduction(rows, np.array([1.0, 0.9, 1.0]))
 
     def test_everything_excluded_infeasible(self):
         with pytest.raises(InfeasibleMomentsError, match="infeasible"):
-            reduce_binary_support(
+            support_reduction(
                 np.array([[1.0, 1.0], [0.0, 1.0], [1.0, 0.0]]),
                 np.array([1.0, 0.0, 0.0]),
             )
@@ -504,8 +507,8 @@ class TestReduceBinarySupport:
         )
         keep = rows.any(axis=1)
         rows = rows[keep]
-        red = reduce_binary_support(rows, rows @ p)
-        assert not red.excluded[p > 0].any()
+        excluded, _, _, _ = support_reduction(rows, rows @ p)
+        assert not excluded[p > 0].any()
 
     @given(st.data())
     @settings(max_examples=80, deadline=None)
@@ -525,11 +528,11 @@ class TestReduceBinarySupport:
         excluded, kept, errors = _support_reductions(supports, moments)
         for k in range(g):
             try:
-                alone = reduce_binary_support(supports[k].astype(float), moments[k])
+                alone, kept_alone, _, _ = support_reduction(supports[k], moments[k])
             except (InputError, InfeasibleMomentsError) as exc:
                 assert type(errors[k]) is type(exc)
                 assert str(errors[k]) == str(exc)
                 continue
             assert k not in errors
-            assert np.array_equal(excluded[k], alone.excluded)
-            assert np.array_equal(np.flatnonzero(kept[k]), alone.kept_rows)
+            assert np.array_equal(excluded[k], alone)
+            assert np.array_equal(np.flatnonzero(kept[k]), kept_alone)

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from maxentkit.constraints import nesting_map, to_architecture
+from maxentkit.constraints import is_nested, to_architecture
 from maxentkit.errors import InputError
 from maxentkit.ising import (
     IsingParams,
@@ -175,8 +175,7 @@ class TestToCoefficients:
         ]
         for i, a in enumerate(models):
             for j, b in enumerate(models):
-                nested = nesting_map(arches[i], arches[j]) is not None
-                assert nested == b.contains(a), (a.label, b.label)
+                assert is_nested(arches[i], arches[j]) == b.contains(a), (a.label, b.label)
 
 
 class TestParams:

@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from maxentkit.constraints import ArchitectureMatrix, CoefficientMatrix, is_nested, to_architecture
 from maxentkit import selection
@@ -33,7 +34,6 @@ from maxentkit.selection import (
     asymptotic_test_error,
     asymptotic_training_error,
     bic,
-    chi2_cdf,
     empirical_p_value,
     expected_entropy,
     lrt_p_value,
@@ -42,7 +42,7 @@ from maxentkit.selection import (
     score_arrays,
     score_candidates,
     select,
-    select_scored,
+    select_arrays,
 )
 from maxentkit.simplex import entropy, kl_divergence, multinomial_sample
 from maxentkit.solver import SolveOptions, fit_linear_system
@@ -78,27 +78,46 @@ def saturated_2x2(f):
     return CoefficientMatrix(rows, rows @ np.asarray(f))
 
 
+def select_on_scores(scores, n, config, implying=None):
+    """:func:`select_arrays` on the columns of ``scores``, where ``None``
+    marks a candidate that failed to solve."""
+    fields = ("rank", "n_states", "maxent_entropy", "p_value", "bic", "aic")
+    rank, n_states, *columns = (
+        np.array([getattr(s, k) if s is not None else 0 for s in scores]) for k in fields
+    )
+    valid = np.array([s is not None for s in scores], dtype=bool)
+    return select_arrays(rank, *columns, valid, int(n_states.max()), n, config, implying)
+
+
 class TestChi2Cdf:
+    """The chi-square upper tail of the p-values, ``_chi2_tail``."""
+
     def test_frozen_quantiles(self):
-        assert chi2_cdf(1, CHI2_Q95_K1) == pytest.approx(0.95, abs=1e-12)
-        assert chi2_cdf(8, CHI2_Q95_K8) == pytest.approx(0.95, abs=1e-12)
+        tails = selection._chi2_tail(np.array([1, 8]), np.array([CHI2_Q95_K1, CHI2_Q95_K8]))
+        assert tails == pytest.approx([0.05, 0.05], abs=1e-12)
 
     def test_two_dof_closed_form(self):
-        for x in [0.0, 0.3, 1.0, 2.5, 10.0, 40.0]:
-            assert chi2_cdf(2, x) == pytest.approx(1.0 - math.exp(-x / 2), abs=1e-14)
+        xs = np.array([0.0, 0.3, 1.0, 2.5, 10.0, 40.0, 200.0])
+        tails = selection._chi2_tail(np.full(xs.size, 2), xs)
+        # Relative, so the small tails are held to their own digits.
+        assert tails == pytest.approx(np.exp(-xs / 2), rel=1e-13, abs=0.0)
+
+    def test_matches_scipy(self):
+        dof = np.arange(1, 30)
+        xs = np.linspace(0.0, 120.0, 61)
+        k, x = np.meshgrid(dof, xs)
+        expected = scipy.stats.chi2.sf(x, k)
+        assert selection._chi2_tail(k, x) == pytest.approx(expected, rel=1e-12, abs=1e-300)
+
+    def test_zero_dof_is_one(self):
+        assert selection._chi2_tail(np.array([0, 0]), np.array([0.0, 5.0])).tolist() == [1.0, 1.0]
 
     def test_monotone_in_x(self):
         xs = np.linspace(0.0, 20.0, 50)
-        vals = [chi2_cdf(3, x) for x in xs]
-        assert vals[0] == 0.0
-        assert all(b >= a for a, b in zip(vals, vals[1:]))
-        assert vals[-1] > 0.999
-
-    def test_validation(self):
-        with pytest.raises(InputError):
-            chi2_cdf(0, 1.0)
-        with pytest.raises(InputError):
-            chi2_cdf(2, -0.1)
+        vals = selection._chi2_tail(np.full(xs.size, 3), xs)
+        assert vals[0] == 1.0
+        assert np.all(np.diff(vals) <= 0.0)
+        assert vals[-1] < 0.001
 
 
 class TestEmpiricalPValue:
@@ -265,12 +284,12 @@ class TestLrtReusesCanonicalForms:
             )
             reused = select(self.LIBRARY, f, n, config)
             monkeypatch.undo()
-            expected = select(
-                self.LIBRARY, f, n, config,
-                implies=lambda i, j: is_nested(fresh[i], fresh[j]),
+            by_id = {score.architecture_id: score for score in reused.scores}
+            expected = select_on_scores(
+                [by_id.get(i) for i in range(len(fresh))], n, config,
+                lambda i: [j for j in range(len(fresh)) if is_nested(fresh[i], fresh[j])],
             )
-            assert reused.chosen_index == expected.chosen_index
-            assert reused.fallback == expected.fallback
+            assert (reused.chosen_index, reused.fallback) == expected
             # Nesting reads the candidates' canonical rows alone, with no
             # architecture built on the sample's moments.
             assert calls == []
@@ -316,12 +335,13 @@ class TestLrtReusesCanonicalForms:
             else to_architecture(CoefficientMatrix(c.rows.copy(), c.rows @ f))
             for i, c in enumerate(mixed)
         ]
-        implies = selection._nesting_implies(mixed, np.ones(len(mixed), dtype=bool))
-        nested = [(i, j) for i in range(len(mixed)) for j in range(len(mixed)) if implies(i, j)]
+        rank = np.array([arch.rank for arch in fresh])
+        implying = selection._nesting_implies(mixed, np.ones(len(mixed), dtype=bool), rank)
+        nested = [(i, j) for i in range(len(mixed)) for j in implying(i)]
         assert len(nested) > len(mixed)
         assert nested == [
             (i, j) for i in range(len(mixed)) for j in range(len(mixed))
-            if is_nested(fresh[i], fresh[j])
+            if rank[j] > rank[i] and is_nested(fresh[i], fresh[j])
         ]
 
 
@@ -437,8 +457,10 @@ class TestValidation:
     def test_selection_config(self):
         with pytest.raises(InputError):
             SelectionConfig(method="oracle")
-        with pytest.raises(InputError):
-            SelectionConfig(alpha_prefactor=0.0)
+        # Every threshold fails on a NaN or infinite prefactor.
+        for prefactor in (0.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(InputError):
+                SelectionConfig("hyper_maxent", alpha_prefactor=prefactor)
         assert SelectionConfig().method == "bic"
 
     def test_non_finite_distribution(self):
@@ -474,13 +496,15 @@ def synthetic(idx, rank, p, bic_v=0.0, aic_v=0.0, h=1.0, n_states=8):
 
 
 class TestSelectScored:
+    """:func:`select_arrays` by score, threshold and fallback."""
+
     def test_bic_argmin_skips_failures(self):
         scores = [
             synthetic(0, 3, 0.5, bic_v=12.0),
             None,
             synthetic(2, 4, 0.5, bic_v=10.0),
         ]
-        idx, fallback = select_scored(scores, 100, SelectionConfig("bic"))
+        idx, fallback = select_on_scores(scores, 100, SelectionConfig("bic"))
         assert (idx, fallback) == (2, False)
 
     def test_aic_tie_breaks_to_first(self):
@@ -488,12 +512,12 @@ class TestSelectScored:
             synthetic(0, 3, 0.5, aic_v=10.0),
             synthetic(1, 4, 0.5, aic_v=10.0),
         ]
-        idx, fallback = select_scored(scores, 100, SelectionConfig("aic"))
+        idx, fallback = select_on_scores(scores, 100, SelectionConfig("aic"))
         assert (idx, fallback) == (0, False)
 
     def test_all_failed_raises(self):
         with pytest.raises(NoSolvableCandidateError):
-            select_scored([None, None], 100, SelectionConfig("bic"))
+            select_on_scores([None, None], 100, SelectionConfig("bic"))
 
     def test_hyper_maxent_prefers_low_rank_then_high_p(self):
         # Thresholds (8 - rank) / 100: all three pass.
@@ -502,29 +526,29 @@ class TestSelectScored:
             synthetic(1, 4, 0.9),
             synthetic(2, 6, 1.0),
         ]
-        idx, fallback = select_scored(scores, 100, SelectionConfig("hyper_maxent"))
+        idx, fallback = select_on_scores(scores, 100, SelectionConfig("hyper_maxent"))
         assert (idx, fallback) == (1, False)
 
     def test_hyper_maxent_threshold_scales_with_rank(self):
         # p = 0.03 clears (8 - 6) / 100 = 0.02 but not (8 - 4) / 100.
         scores = [synthetic(0, 4, 0.03), synthetic(1, 6, 0.03)]
-        idx, fallback = select_scored(scores, 100, SelectionConfig("hyper_maxent"))
+        idx, fallback = select_on_scores(scores, 100, SelectionConfig("hyper_maxent"))
         assert (idx, fallback) == (1, False)
 
     def test_hyper_maxent_prefactor_rescales(self):
         scores = [synthetic(0, 4, 0.03), synthetic(1, 6, 0.03)]
         config = SelectionConfig("hyper_maxent", alpha_prefactor=0.5)
-        idx, fallback = select_scored(scores, 100, config)
+        idx, fallback = select_on_scores(scores, 100, config)
         assert (idx, fallback) == (0, False)
 
     def test_hyper_maxent_fallback_highest_rank(self):
         scores = [synthetic(0, 2, 0.0), synthetic(1, 3, 0.0)]
-        idx, fallback = select_scored(scores, 100, SelectionConfig("hyper_maxent"))
+        idx, fallback = select_on_scores(scores, 100, SelectionConfig("hyper_maxent"))
         assert (idx, fallback) == (1, True)
 
     def test_lrt_requires_oracle(self):
         with pytest.raises(InputError):
-            select_scored(
+            select_on_scores(
                 [synthetic(0, 4, 1.0)], 100, SelectionConfig("hyper_maxent_lrt")
             )
 
@@ -537,12 +561,11 @@ class TestSelectScoredLrt:
             synthetic(0, 4, p0, h=1.0 + gap),
             synthetic(1, 6, p1, h=1.0),
         ]
-        implies = {0: [1], 1: []}
-        return select_scored(
+        return select_on_scores(
             scores,
             self.N,
             SelectionConfig("hyper_maxent_lrt"),
-            implies=lambda i, j: j in implies[i],
+            implying=lambda i: {0: [1], 1: []}[i],
         )
 
     def test_small_gap_keeps_simple_model(self):

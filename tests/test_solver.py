@@ -31,6 +31,7 @@ from maxentkit.solver import (
     FitResult,
     SolveOptions,
     _DenseRows,
+    _damped_pass,
     _fit_table,
     _padded_width,
     _newton_iterate,
@@ -40,7 +41,6 @@ from maxentkit.solver import (
     fit_linear_systems,
     sample_equivalence_class,
     solve_ipf,
-    solve_newton,
 )
 
 # MaxEnt under single-spin marginals factorizes, so the 2x2 system with
@@ -71,21 +71,37 @@ def random_system(rng, n_states=8, extra_rows=3):
     return CoefficientMatrix(rows, rows @ p)
 
 
+def damped_newton(arch):
+    """The damped pass of the Newton kernel on ``arch`` alone, from
+    uniform: its probabilities, or the error that stopped it."""
+    p, _, _, _, errors = _damped_pass(arch.rows[None], arch.moments[None], SolveOptions())
+    if errors:
+        raise errors[0]
+    return p[0]
+
+
+def solve(arch, options=None):
+    """The solution of the fit path on an architecture."""
+    return fit_linear_system(arch, options).solution
+
+
 class TestSolveNewton:
+    """The solution of the Newton fit path, :func:`fit_linear_system`."""
+
     def test_product_solution(self):
         arch = to_architecture(marginal_2x2())
-        sol = solve_newton(arch)
+        sol = solve(arch)
         assert np.max(np.abs(sol.distribution.probs - PRODUCT_2X2)) < 1e-10
         assert sol.residual <= 1e-10
 
     def test_distribution_sums_to_one_exactly_enough(self):
         arch = to_architecture(marginal_2x2(0.123456, 0.654321))
-        sol = solve_newton(arch)
+        sol = solve(arch)
         assert abs(sol.distribution.probs.sum() - 1.0) <= 1e-13
 
     def test_multipliers_reproduce_log_probs(self):
         arch = to_architecture(marginal_2x2())
-        sol = solve_newton(arch)
+        sol = solve(arch)
         log_p = arch.rows.T @ sol.multipliers
         assert np.max(np.abs(np.log(sol.distribution.probs) - log_p)) < 1e-8
 
@@ -94,7 +110,7 @@ class TestSolveNewton:
         which is what makes the solution the information projection."""
         system = random_system(rng)
         arch = to_architecture(system)
-        sol = solve_newton(arch)
+        sol = solve(arch)
         p = sol.distribution.probs
         kernel = kernel_basis(arch, sol.distribution)
         for _ in range(20):
@@ -107,7 +123,7 @@ class TestSolveNewton:
     def test_entropy_is_maximal_in_class(self, rng):
         system = random_system(rng)
         arch = to_architecture(system)
-        sol = solve_newton(arch)
+        sol = solve(arch)
         p = sol.distribution.probs
         kernel = kernel_basis(arch, sol.distribution)
         h = entropy(p)
@@ -121,13 +137,19 @@ class TestSolveNewton:
     def test_iteration_cap(self):
         arch = to_architecture(marginal_2x2())
         with pytest.raises(ConvergenceError):
-            solve_newton(arch, SolveOptions(max_iterations=1))
+            solve(arch, SolveOptions(max_iterations=1))
 
     def test_options_validation(self):
-        with pytest.raises(InputError):
-            SolveOptions(tolerance=0.0)
-        with pytest.raises(InputError):
-            SolveOptions(max_iterations=0)
+        # A tolerance of inf would pass the uniform start as the fit, and
+        # one of NaN would fail every fit at residual 0.
+        for kwargs in [
+            {"tolerance": 0.0}, {"tolerance": np.inf}, {"tolerance": np.nan},
+            {"max_iterations": 0}, {"max_iterations": 2.5}, {"max_iterations": True},
+            {"max_iterations": "3"},
+        ]:
+            with pytest.raises(InputError):
+                SolveOptions(**kwargs)
+        assert SolveOptions(max_iterations=np.int64(3)).max_iterations == 3
 
 
 class TestSolveIpf:
@@ -228,7 +250,7 @@ class TestFitLinearSystem:
 class TestSampleEquivalenceClass:
     def setup_method(self):
         self.arch = to_architecture(marginal_2x2())
-        self.sol = solve_newton(self.arch)
+        self.sol = solve(self.arch)
         self.kernel = kernel_basis(self.arch, self.sol.distribution)
 
     def test_moments_preserved_exactly(self, rng):
@@ -288,8 +310,7 @@ class TestNewtonBatch:
         assert converged.all()
         assert residuals.max() <= 1e-10
         for k, arch in enumerate(arches):
-            scalar = solve_newton(arch)
-            assert np.max(np.abs(probs[k] - scalar.distribution.probs)) < 1e-9
+            assert np.max(np.abs(probs[k] - damped_newton(arch))) < 1e-9
 
     def test_rows_sum_to_one(self, rng):
         systems = [random_system(rng) for _ in range(4)]
@@ -342,7 +363,7 @@ class TestNewtonBatch:
         # The sub-model keeps the first three rows; the log of its fit
         # lies in their span, hence in the full system's row space.
         subs = [
-            solve_newton(to_architecture(CoefficientMatrix(s.rows[:3], s.moments[:3])))
+            solve(to_architecture(CoefficientMatrix(s.rows[:3], s.moments[:3])))
             for s in systems
         ]
         row_stack = np.stack([a.rows for a in arches])
@@ -377,7 +398,7 @@ class TestEntropyGapStatistic:
         n_states - rank degrees of freedom; check the mean roughly."""
         system = random_system(rng, n_states=8, extra_rows=3)
         arch = to_architecture(system)
-        sol = solve_newton(arch)
+        sol = solve(arch)
         kernel = kernel_basis(arch, sol.distribution)
         dof = 8 - arch.rank
         assert kernel.dim == dof
@@ -449,8 +470,7 @@ class TestFitLinearSystems:
         systems = mixed_systems(rng)[:5]
         for system, fit in zip(systems, fit_linear_systems(systems)):
             arch = to_architecture(system)
-            damped = solve_newton(arch)
-            assert np.max(np.abs(fit.probabilities - damped.distribution.probs)) < 1e-9
+            assert np.max(np.abs(fit.probabilities - damped_newton(arch))) < 1e-9
             assert fit.solution.residual <= 1e-10
             log_p = arch.rows.T @ fit.solution.multipliers
             assert np.max(np.abs(log_p - np.log(fit.probabilities))) < 1e-9
@@ -476,9 +496,8 @@ class TestFitLinearSystems:
                 assert type(fit) is type(ref)
                 continue
             if ref.rank_effective < ref.n_states:
-                damped = solve_newton(fit.architecture)
                 assert np.array_equal(
-                    fit.probabilities[~fit.excluded], damped.distribution.probs
+                    fit.probabilities[~fit.excluded], damped_newton(fit.architecture)
                 )
             assert np.max(np.abs(fit.probabilities - ref.probabilities)) < 1e-9
 
