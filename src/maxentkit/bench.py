@@ -65,8 +65,9 @@ from .errors import InputError
 from .ising import (
     MAX_ENUMERATION_SPINS,
     SpinModel,
+    _closed_families,
     _from_mask,
-    _to_mask,
+    _is_integer,
     boltzmann,
     enumerate_models,
     product_rows,
@@ -95,11 +96,6 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 _G_ISING = ((1, 2, 3), (1, 2, 4), (3, 5), (4, 5))
-
-
-def _is_integer(value: object) -> bool:
-    """Whether a config value is an integer: a bool is not."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -268,11 +264,10 @@ class _Context:
         self.n_states = 2 ** length
         self.models = enumerate_models(length)
         self.truth_model = SpinModel.from_interactions(config.truth, length)
-        self.truth_index = next(
-            i for i, m in enumerate(self.models)
-            if m.interactions == self.truth_model.interactions
-        )
+        self.truth_index = self.models.index(self.truth_model)
 
+        # Subsets run by (bit count, mask), not in the canonical order of
+        # ising: this order sets the row order, and so the bits, of every fit.
         spin_masks = sorted(range(1, self.n_states), key=lambda m: (m.bit_count(), m))
         self.n_subsets = len(spin_masks)
         subsets = [_from_mask(m) for m in spin_masks]
@@ -295,13 +290,11 @@ class _Context:
         # moments, as _ProductRows arguments.
         self.interior_rows: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
-        # Bit j of a model's closure bits is set iff subset j is in it.
-        self.closure_bits = np.array(
-            [
-                sum(1 << self.subset_pos[_to_mask(s)] for s in model.interactions)
-                for model in self.models
-            ],
-            dtype=np.int64,
+        # Bit j of a model's closure bits is set iff subset j is in it:
+        # ising's bitsets over the canonical order, permuted into this one.
+        canonical_masks, families = _closed_families(length)
+        self.closure_bits = np.bitwise_or.reduce(
+            self._members(families) << self.subset_pos[canonical_masks], axis=1
         )
         self.rank_full = np.array([m.rank for m in self.models])
 

@@ -109,7 +109,7 @@ def _parse_constraints(path: str) -> _Constraints:
         return _Constraints(rows=rows, moments=moments, labels=labels, model=None)
 
     try:
-        n_spins = int(payload["n_spins"])
+        n_spins = payload["n_spins"]
         hyperedges = payload["hyperedges"]
     except KeyError as exc:
         raise InputError(f"{path}: hypergraph payload needs {exc.args[0]}") from None

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -397,6 +398,34 @@ class TestParents:
             bits_i, bits_j = int(ctx.closure_bits[i]), int(ctx.closure_bits[j])
             assert bits_j & bits_i == bits_j
             assert set(ctx.models[j].interactions) <= set(ctx.models[i].interactions)
+
+
+class TestContextTables:
+    # sha256 of each int64 table's bytes for the default config.
+    SHA256 = {
+        "closure_bits": "6f3b8104c02d4ebc373844c4f7282d742640861b3e869ccef0cc2b3499f0f7b3",
+        "parent": "a2f6c6d1349945172fe258941bf2ebc4e211790826811fba3271e10c06a42b7c",
+        "rank_full": "d2104df4ec201346df0885278fa6ef98e04286101bf1e1fa2f5633756e181812",
+    }
+
+    @pytest.mark.parametrize("name", sorted(SHA256))
+    def test_pinned_table(self, five_spin_ctx, name):
+        table = getattr(five_spin_ctx, name)
+        assert table.dtype == np.int64
+        assert hashlib.sha256(table.tobytes()).hexdigest() == self.SHA256[name]
+
+    def test_truth_index(self, five_spin_ctx):
+        ctx = five_spin_ctx
+        assert ctx.truth_index == 3072
+        assert ctx.models[ctx.truth_index] == ctx.truth_model
+
+    def test_closure_bits_match_interactions(self, five_spin_ctx):
+        ctx = five_spin_ctx
+        for model, bits in zip(ctx.models, ctx.closure_bits.tolist()):
+            spin_masks = ctx.subset_spin_mask[np.flatnonzero(ctx._members(np.array([bits]))[0])]
+            assert sorted(spin_masks.tolist()) == sorted(
+                sum(1 << (i - 1) for i in s) for s in model.interactions
+            )
 
 
 REPORT_HEADER = (

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 import subprocess
@@ -56,6 +57,11 @@ class TestEnumerate:
         assert main(["enumerate", "--spins", "3"]) == 0
         lines = capsys.readouterr().out.strip().split("\n")
         assert len(lines) == 20
+
+    def test_five_spins_pinned(self, capsys):
+        assert main(["enumerate", "--spins", "5"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "a4d9cc20d488d92311b3144652b148df5e1eaaa84f71fee8ba935e8c09cf2732"
 
 
 class TestFit:
@@ -251,6 +257,13 @@ class TestSample:
         assert main(base + ["--seed", "1", "--out", str(a)]) == 0
         assert main(base + ["--seed", "2", "--out", str(b)]) == 0
         assert a.read_text() != b.read_text()
+
+    @pytest.mark.parametrize("n_spins", [2.7, True, "2"])
+    def test_non_integer_spin_count_exit_2(self, tmp_path, n_spins, capsys):
+        model = write_json(tmp_path / "model.json", {"n_spins": n_spins, "hyperedges": [[1]]})
+        args = ["sample", "--model", model, "--params-seed", "1", "--n", "10", "--seed", "1"]
+        assert main(args + ["--out", str(tmp_path / "c.csv")]) == 2
+        assert "n_spins must be an integer" in capsys.readouterr().err
 
     def test_explicit_matrix_rejected(self, tmp_path):
         matrix = write_json(tmp_path / "m.json", {"rows": [[1, 1]]})

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -95,6 +96,18 @@ class TestSpinModel:
                 expected = set(b.interactions) <= set(a.interactions)
                 assert a.contains(b) == expected
 
+    @pytest.mark.parametrize("n_spins", [2.5, 2.0, True, "2", 0])
+    def test_spin_count_must_be_positive_integer(self, n_spins):
+        with pytest.raises(InputError):
+            SpinModel(n_spins=n_spins, interactions=())
+        with pytest.raises(InputError):
+            SpinModel.from_interactions([(1,)], n_spins)
+
+    def test_numpy_integer_spin_count(self):
+        model = SpinModel.from_interactions([(1, 2)], np.int64(3))
+        assert model == SpinModel(n_spins=3, interactions=((1,), (2,), (1, 2)))
+        assert model.n_states == 8
+
     def test_contains_rejects_mixed_spin_counts(self):
         with pytest.raises(InputError):
             SpinModel.from_interactions([], 2).contains(
@@ -102,27 +115,53 @@ class TestSpinModel:
             )
 
 
+# sha256 of repr([m.interactions for m in enumerate_models(L)]).
+ENUMERATION_SHA256 = {
+    1: "c14f40195e51b3bb2d00d4fcc8be4b54326c0f71c2beb8a8d1d1910f5718f26a",
+    2: "b49b65da6a83c3b73492c0ff4e33491626cd427067cd512eb9aa321d893fb700",
+    3: "be50cda8ae522c5eb6f5a711369af68a42edd2de0ec4e52dde28f630d9eea207",
+    4: "040928740a3615d816a9d055126afb8e7889d1e46fc6330a6b6909a54b24ee91",
+    5: "f4245a783072b4b257cbcad68b661a9824a97480f63ab390b677d78425b0e97c",
+}
+
+
 class TestEnumerateModels:
     @pytest.mark.parametrize("n_spins,count", [(1, 2), (2, 5), (3, 19), (4, 167)])
     def test_counts(self, n_spins, count):
         assert len(enumerate_models(n_spins)) == count
 
-    @pytest.mark.parametrize("n_spins", [1, 2, 3])
+    @pytest.mark.parametrize("n_spins", [1, 2, 3, 4])
     def test_matches_brute_force(self, n_spins):
         got = {frozenset(map(frozenset, m.interactions)) for m in enumerate_models(n_spins)}
         expected = set(brute_force_families(n_spins))
         assert got == expected
 
-    def test_canonical_order(self):
-        models = enumerate_models(3)
+    @pytest.mark.parametrize("n_spins", [3, 4, 5])
+    def test_canonical_order(self, n_spins):
+        models = enumerate_models(n_spins)
         assert models[0].interactions == ()
-        assert len(models[-1].interactions) == 7
+        assert len(models[-1].interactions) == 2 ** n_spins - 1
         keys = [
             (len(m.interactions), [(len(s), s) for s in m.interactions])
             for m in models
         ]
         assert keys == sorted(keys)
         assert len({m.interactions for m in models}) == len(models)
+
+    @pytest.mark.parametrize("n_spins", [1, 2, 3, 4, 5])
+    def test_models_pass_public_validator(self, n_spins):
+        for model in enumerate_models(n_spins):
+            assert model == SpinModel(n_spins=n_spins, interactions=model.interactions)
+
+    @pytest.mark.parametrize("n_spins", sorted(ENUMERATION_SHA256))
+    def test_pinned_enumeration(self, n_spins):
+        text = repr([m.interactions for m in enumerate_models(n_spins)])
+        assert hashlib.sha256(text.encode()).hexdigest() == ENUMERATION_SHA256[n_spins]
+
+    @pytest.mark.parametrize("n_spins", [True, 4.0, "3", 0, 7])
+    def test_spin_count_must_be_supported_integer(self, n_spins):
+        with pytest.raises(InputError):
+            enumerate_models(n_spins)
 
 
 class TestProductRows:
