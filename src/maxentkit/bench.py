@@ -296,7 +296,6 @@ class _Context:
         self.closure_bits = np.bitwise_or.reduce(
             self._members(families) << self.subset_pos[canonical_masks], axis=1
         )
-        self.rank_full = np.array([m.rank for m in self.models])
 
         # A model's parent drops its highest subset, which is always a
         # maximal interaction (subsets run by size), leaving a sub-model
@@ -343,9 +342,10 @@ def _fit_all_models(ctx: _Context, counts: np.ndarray, n: int) -> _FitTable:
     m_frac = m_counts / n
     f = counts / n
 
+    # A model has a fit iff its row of probs is not NaN.  The boundary
+    # patterns partition the models, and each sets its members' ranks.
     probs = np.full((n_models, a), np.nan)
-    rank_eff = ctx.rank_full.copy()
-    valid = np.zeros(n_models, dtype=bool)
+    rank_eff = np.zeros(n_models, dtype=int)
     robust: list[int] = []
 
     subset_bits = np.left_shift(1, np.arange(ctx.n_subsets, dtype=np.int64))
@@ -357,7 +357,7 @@ def _fit_all_models(ctx: _Context, counts: np.ndarray, n: int) -> _FitTable:
     for k in sorted(range(len(patterns)), key=lambda k: int(patterns[k]).bit_count()):
         _fit_pattern(
             ctx, int(patterns[k]), np.flatnonzero(inverse == k),
-            m_frac, f, probs, rank_eff, valid, robust,
+            m_frac, f, probs, rank_eff, robust,
         )
 
     # Normalization, then row 1 + j per closure bit j: ``_from_mask``
@@ -384,7 +384,6 @@ def _fit_pattern(
     f: np.ndarray,
     probs: np.ndarray,
     rank_eff: np.ndarray,
-    valid: np.ndarray,
     robust: list[int],
 ) -> None:
     """Batch-fit the models sharing one boundary-moment pattern, the
@@ -418,7 +417,6 @@ def _fit_pattern(
     rank_eff[members] = n_rows + n_excluded
     pinned = n_rows >= a - n_excluded
     probs[members[pinned]] = f
-    valid[members[pinned]] = True
 
     # Without a boundary moment every sample has the same batches.
     interior = members.size == len(ctx.models)
@@ -434,22 +432,17 @@ def _fit_pattern(
                 # positions of 8 bytes per Jacobian entry once it runs.
                 ctx.interior_rows[d] = (rows.index, rows.union, rows.pairs)
         batch_p, _, done, _, _ = _newton_passes(
-            rows, m_frac[rows.index], start=_seeds(ctx, midx, working, probs, valid)
+            rows, m_frac[rows.index], start=_seeds(ctx, midx, working, probs)
         )
         done_idx = midx[done]
         block = np.zeros((done_idx.size, a))
         block[:, working] = batch_p[done]
         probs[done_idx] = block
-        valid[done_idx] = True
         robust.extend(midx[~done].tolist())
 
 
 def _seeds(
-    ctx: _Context,
-    midx: np.ndarray,
-    working,
-    probs: np.ndarray,
-    valid: np.ndarray,
+    ctx: _Context, midx: np.ndarray, working, probs: np.ndarray
 ) -> Optional[np.ndarray]:
     """Newton starts for one batch: each model's parent fit, restricted
     to the working states and renormalised; uniform where the parent is
@@ -462,7 +455,7 @@ def _seeds(
     """
     parent = ctx.parent[midx]
     seeded = parent >= 0
-    seeded[seeded] = valid[parent[seeded]]
+    seeded[seeded] = ~np.isnan(probs[parent[seeded], 0])
     if not seeded.any():
         return None
     seed = probs[parent[seeded]][:, working]
@@ -614,13 +607,16 @@ def run_benchmark(
     if progress:
         progress(completed, total)
 
+    # Each worker builds its own context, so start no more than there
+    # are tasks.
+    workers = min(config.threads, len(pending))
     shard_fh = open(_shard_path(resume_dir), "a") if resume_dir else None
     try:
-        if config.threads > 1 and pending:
+        if workers > 1:
             from multiprocessing import Pool
 
             with Pool(
-                processes=config.threads,
+                processes=workers,
                 initializer=_init_worker,
                 initargs=(config,),
             ) as pool:

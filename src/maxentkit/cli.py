@@ -295,16 +295,6 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _default_threads() -> int:
-    raw = os.environ.get(THREADS_ENV)
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            log.warning("ignoring non-integer %s=%r", THREADS_ENV, raw)
-    return 1
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
     if args.compare:
         comparison = compare_reports(*args.compare)
@@ -326,7 +316,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.threads is not None:
         fields["threads"] = args.threads
     elif "threads" not in fields:
-        fields["threads"] = _default_threads()
+        raw = os.environ.get(THREADS_ENV) or "1"
+        try:
+            fields["threads"] = int(raw)
+        except ValueError:
+            raise InputError(f"{THREADS_ENV} must be an integer, not {raw!r}") from None
     config = BenchmarkConfig(**fields)
 
     os.makedirs(args.out_dir, exist_ok=True)

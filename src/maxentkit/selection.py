@@ -21,6 +21,11 @@ holds.  Everything here is built on that statistic:
   candidate to survive a likelihood-ratio test against every candidate
   that implies it at threshold ``(2 a - d - d') / n``.
 
+The scalar scores fit their candidates through the fit table of
+:func:`~maxentkit.solver._fit_table` and read each entropy off its row,
+as :func:`select` does, so a candidate gets the same score alone as in
+a selection.
+
 Degrees of freedom use the effective rank: states excluded from the
 working space count as one pinning constraint each, so ``a - d`` is
 always the number of free fluctuation directions on the full space.
@@ -58,7 +63,7 @@ from .simplex import (
     multinomial_sample,
     prob_array,
 )
-from .solver import SolveOptions, _fit_table, fit_linear_system
+from .solver import SolveOptions, _fit_table
 
 __all__ = [
     "ModelScore",
@@ -139,23 +144,6 @@ def _p_value(h_hat: float, h_ref: float, rank: int, n_states: int, n: int) -> fl
     return float(p_value)
 
 
-def _fit_for_f(
-    candidate: Union[ArchitectureMatrix, CoefficientMatrix],
-    f: Union[Distribution, np.ndarray],
-    options: Optional[SolveOptions],
-) -> tuple[float, int, int]:
-    """Fit a candidate on the moments induced by ``f``.
-
-    Returns the fit's entropy, its effective rank, and the full state
-    count.  Both kinds of candidate go through
-    :func:`fit_linear_system`; an architecture is its own canonical
-    form.
-    """
-    (system,) = _induced([candidate], prob_array(f))
-    fit = fit_linear_system(system, options)
-    return entropy(fit.probabilities), fit.rank_effective, fit.n_states
-
-
 def _induced(
     candidates: Sequence[Union[ArchitectureMatrix, CoefficientMatrix]], probs: np.ndarray
 ) -> list[Union[ArchitectureMatrix, CoefficientMatrix]]:
@@ -180,15 +168,22 @@ def _induced(
     return out
 
 
-def _entropies(
-    candidate: Union[ArchitectureMatrix, CoefficientMatrix],
+def _fit_entropies(
+    candidates: Sequence[Union[ArchitectureMatrix, CoefficientMatrix]],
     f: Union[Distribution, np.ndarray],
     options: Optional[SolveOptions],
-) -> tuple[float, float, int, int]:
-    """One candidate's ``h_hat, h_f, rank, n_states`` for :func:`score_arrays`."""
+) -> tuple[np.ndarray, float, np.ndarray, int]:
+    """The candidates' ``h_hat, h_f, rank, n_states`` for
+    :func:`score_arrays`.  Every candidate is fitted on the moments ``f``
+    induces, all in one :func:`~maxentkit.solver._fit_table` call, and
+    its entropy is read off its row of the table as :func:`_score_fits`
+    reads it.  The first failed fit raises its error."""
     probs = prob_array(f)
-    h_hat, rank_eff, n_states = _fit_for_f(candidate, probs, options)
-    return h_hat, entropy(probs), rank_eff, n_states
+    table = _fit_table(_induced(candidates, probs), options)
+    if table.errors:
+        raise table.errors[min(table.errors)]
+    fits = table.probabilities
+    return -xlogy(fits, fits).sum(axis=1), entropy(probs), table.rank_eff, probs.size
 
 
 def empirical_p_value(
@@ -199,11 +194,13 @@ def empirical_p_value(
 ) -> float:
     """Tail probability of the entropy gap of ``f`` inside its class.
 
-    Fits the candidate on the moments induced by ``f`` and returns
+    Fits the candidate on the moments induced by ``f``, through the fit
+    table as :func:`select` does, and returns
     ``1 - F_{a-d}(2 n (H[maxent] - H[f]))``.  A saturated candidate has
     zero degrees of freedom and p-value one.
     """
-    return _p_value(*_entropies(architecture, f, options), n)
+    (h_hat,), h_f, (rank,), n_states = _fit_entropies([architecture], f, options)
+    return _p_value(h_hat, h_f, rank, n_states, n)
 
 
 def lrt_p_value(
@@ -218,14 +215,16 @@ def lrt_p_value(
     Requires ``simple`` to be implied by ``complex_``; the statistic
     ``2 n (H[maxent_simple] - H[maxent_complex])`` is referred to a
     chi-squared with ``rank(complex_) - rank(simple)`` degrees of
-    freedom.  Equal ranks give dof zero, hence p-value one, and a
-    saturated ``complex_`` reduces to :func:`empirical_p_value`.
+    freedom.  Both candidates are fitted in one fit table; where both
+    fits fail, the simple candidate's error raises.  Equal ranks give
+    dof zero, hence p-value one, and a saturated ``complex_`` reduces to
+    :func:`empirical_p_value`.
     """
     if not is_nested(simple, complex_):
         raise NotNestedError("simple architecture is not implied by the complex one")
-    probs = prob_array(f)
-    h_simple, rank_simple, _ = _fit_for_f(simple, probs, options)
-    h_complex, rank_complex, _ = _fit_for_f(complex_, probs, options)
+    (h_simple, h_complex), _, (rank_simple, rank_complex), _ = _fit_entropies(
+        [simple, complex_], f, options
+    )
     # The complex fit stands in for f, and its rank for the state count.
     return _p_value(h_simple, h_complex, rank_simple, rank_complex, n)
 
@@ -238,10 +237,11 @@ def bic(
 ) -> float:
     """Bayesian information criterion ``2 n H[maxent] + d log n``.
 
-    Standardized up to candidate-independent additive constants; see the
-    module docstring.
+    The candidate is fitted through the fit table as by
+    :func:`empirical_p_value`.  Standardized up to candidate-independent
+    additive constants; see the module docstring.
     """
-    return float(score_arrays(*_entropies(architecture, f, options), n)[2])
+    return float(score_arrays(*_fit_entropies([architecture], f, options), n)[2][0])
 
 
 def aic(
@@ -252,7 +252,7 @@ def aic(
 ) -> float:
     """Akaike information criterion ``2 n H[maxent] + 2 d``, standardized
     like :func:`bic`."""
-    return float(score_arrays(*_entropies(architecture, f, options), n)[3])
+    return float(score_arrays(*_fit_entropies([architecture], f, options), n)[3][0])
 
 
 def expected_entropy(
@@ -263,7 +263,7 @@ def expected_entropy(
 ) -> float:
     """Mean entropy of an ``n``-sample class member,
     ``H[maxent] - (a - d) / (2 n)``."""
-    return float(score_arrays(*_entropies(architecture, f, options), n)[4])
+    return float(score_arrays(*_fit_entropies([architecture], f, options), n)[4][0])
 
 
 def alpha_empirical(
@@ -413,7 +413,7 @@ def score_candidates(
     Returns a list aligned with ``candidates`` (``None`` where the solve
     failed; failures are logged, not raised) and the empirical entropy
     of ``f``.  All candidates are fitted together, in one table, by the
-    fit core of :func:`~maxentkit.solver.fit_linear_systems`.
+    fit core :func:`~maxentkit.solver._fit_table`.
     """
     if ids is None:
         ids = list(range(len(candidates)))

@@ -17,8 +17,9 @@ the width depends on the system alone, so a system gets the same fit
 alone as in any stack.
 :func:`_fit_table` is that core: it returns the fits as one table of
 probabilities, with the effective ranks and the errors by index, which
-is all that scoring reads; :func:`fit_linear_systems` is the object
-view over it, and the one fit path that computes multipliers.
+is all that scoring reads.  :func:`fit_linear_systems` is the object
+view: it builds each system's :class:`FitResult` from that system's row
+of the table, and is the one fit path that computes multipliers.
 Each step multiplies the iterate by ``exp(-rows^T @ delta)`` where
 ``delta`` solves the Jacobian system ``J = rows @ diag(p) @ rows^T``;
 for a full-row-rank architecture and a strictly positive iterate the
@@ -541,9 +542,11 @@ def fit_linear_systems(
     read off directly, and the others are solved in one padded Newton
     stack per working-state count and padded width.  An architecture is
     its own canonical form, so it may be passed as well.  Every system's
-    fit depends on that system alone, not on its stack.  This view
-    builds each fit's :class:`MaxEntSolution`, with its multipliers
-    where the fit came from Newton steps and is strictly positive.
+    fit depends on that system alone, not on its stack.  This view reads
+    each system's fit from its row of the table and builds its
+    :class:`MaxEntSolution`, with the multipliers, the least squares of
+    ``log p`` on the system's rows, where the fit came from Newton steps
+    and is strictly positive.
 
     Returns one entry per system, in order: its :class:`FitResult`, or
     the :class:`SolverError` that stopped it.  Input errors raise.
@@ -556,23 +559,23 @@ def fit_linear_systems(
         table, working, iterations, residuals = _fit_stacks(
             [systems[i] for i in members], options
         )
-        shapes: dict[tuple[int, int], list[int]] = defaultdict(list)
         for k, i in enumerate(members):
             if k in table.errors:
                 results[i] = table.errors[k]
-            else:
-                shapes[working[k][1].rows.shape].append(k)
-        for (rank, n_working), ks in shapes.items():
-            rows = np.array([working[k][1].rows for k in ks])
-            p = np.array([table.probabilities[k][~working[k][2]] for k in ks])
-            # A saturated fit is read off, not reached by Newton steps.
-            finite = (p > 0.0).all(axis=1) & (rank < n_working)
-            solutions = _solutions(rows, p, residuals[ks], iterations[ks], finite)
-            for k, solution in zip(ks, solutions):
-                _, architecture, excluded = working[k]
-                results[members[k]] = _fit_result(
-                    systems[members[k]], architecture, excluded, solution
-                )
+                continue
+            _, architecture, excluded = working[k]
+            # The table has checked the row (see Distribution.stack).
+            (distribution,) = Distribution.stack(table.probabilities[k][None, ~excluded])
+            p, multipliers = distribution.probs, None
+            # A saturated fit is read off, not reached by Newton steps; a
+            # state whose probability underflowed to zero has no finite
+            # multipliers.
+            if architecture.rank < architecture.n_states and (p > 0.0).all():
+                (multipliers,) = _multipliers(architecture.rows[None], p[None])
+            solution = MaxEntSolution(
+                distribution, multipliers, int(iterations[k]), float(residuals[k])
+            )
+            results[i] = _fit_result(systems[i], architecture, excluded, solution)
     return results
 
 
@@ -651,28 +654,6 @@ def sample_equivalence_class(
         f"{max_rejections} consecutive draws left the simplex; "
         "increase the sample size"
     )
-
-
-def _solutions(
-    row_stack: np.ndarray, p: np.ndarray, residuals: np.ndarray, steps: np.ndarray,
-    finite: np.ndarray,
-) -> list[MaxEntSolution]:
-    """Per system of a stack of converged fits ``p`` on the rows
-    ``row_stack``, its solution.  The fits are rows of the table of
-    :func:`_fit_stacks`, which has checked them, so they are not checked
-    again (see :meth:`Distribution.stack`).  The systems at the mask
-    ``finite``, whose fits must be strictly positive, get multipliers:
-    the least squares of ``log p`` on the rows.  A state whose
-    probability underflowed to zero has no finite multipliers, and such
-    a fit reports none."""
-    theta = np.zeros(row_stack.shape[:2])
-    if finite.any():
-        theta[finite] = _multipliers(row_stack[finite], p[finite])
-    return [
-        MaxEntSolution(distribution, theta[k] if finite[k] else None,
-                       int(steps[k]), float(residuals[k]))
-        for k, distribution in enumerate(Distribution.stack(p))
-    ]
 
 
 class _DenseRows:
@@ -797,28 +778,23 @@ class _ProductRows:
 _Rows = Union[_DenseRows, _ProductRows]
 
 
-def _row_form(rows: Union[np.ndarray, _Rows]) -> _Rows:
-    """An array of rows ``(g, d, a)`` as :class:`_DenseRows`."""
-    return _DenseRows(rows) if isinstance(rows, np.ndarray) else rows
-
-
 def _moments(rows: _Rows, p: np.ndarray) -> np.ndarray:
     return rows.moments(rows.statistics(p))
 
 
 def _newton_passes(
-    row_stack: Union[np.ndarray, _Rows],
+    rows: _Rows,
     target_stack: np.ndarray,
     options: Optional[SolveOptions] = None,
     start: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, dict[int, SolverError]]:
     """Fit a stack of systems of full row rank but for padding rows,
-    rows ``(g, d, a)`` (an array, or one of the row forms
-    :class:`_DenseRows` and :class:`_ProductRows`) and targets
-    ``(g, d)``, by up to three passes of :func:`_newton_iterate`:
-    undamped from ``start`` (uniform when omitted); undamped from
-    uniform for the systems the first pass flags whose start was not
-    uniform; and damped from uniform for the systems still flagged.
+    rows ``(g, d, a)`` (one of the row forms :class:`_DenseRows` and
+    :class:`_ProductRows`) and targets ``(g, d)``, by up to three passes
+    of :func:`_newton_iterate`: undamped from ``start`` (uniform when
+    omitted); undamped from uniform for the systems the first pass flags
+    whose start was not uniform; and damped from uniform for the systems
+    still flagged.
 
     Each row of ``start`` must be strictly positive with its log in the
     row space of its system, as the fit of a sub-model's rows is; Newton
@@ -829,7 +805,6 @@ def _newton_passes(
     typed error of every system that did not converge.
     """
     opts = options or SolveOptions()
-    rows = _row_form(row_stack)
     n_systems, _, n_states = rows.shape
     uniform = 1.0 / n_states
     cap = min(opts.max_iterations or BATCH_ITERATIONS, BATCH_ITERATIONS)
@@ -868,7 +843,7 @@ def _damped_pass(
 
 
 def _newton_iterate(
-    row_stack: Union[np.ndarray, _Rows],
+    rows: _Rows,
     target_stack: np.ndarray,
     p: np.ndarray,
     tolerance: float,
@@ -891,7 +866,7 @@ def _newton_iterate(
     The rows, iterates and targets of the systems still iterating are
     kept compacted; a system's iterate goes back to ``p`` when it leaves.
     """
-    all_rows = rows = _row_form(row_stack)
+    all_rows = rows
     n_systems = rows.shape[0]
     residuals = np.full(n_systems, np.inf)
     converged = np.zeros(n_systems, dtype=bool)
@@ -936,21 +911,16 @@ def _newton_iterate(
         try:
             delta = np.linalg.solve(jacobian, diff[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
-            delta = np.empty_like(diff)
-            singular = np.zeros(active.size, dtype=bool)
-            for i in range(active.size):
-                try:
-                    delta[i] = np.linalg.solve(jacobian[i], diff[i])
-                except np.linalg.LinAlgError:
-                    singular[i] = True
-            if singular.any():
-                if errors is not None:
-                    for i in active[singular].tolist():
-                        errors[i] = SingularJacobianError(f"Jacobian singular at iteration {it}")
-                delta = delta[~singular]
-                leave(np.flatnonzero(singular))
-                if active.size == 0:
-                    continue
+            # slogdet runs the LU factorization (getrf) that solve runs, so
+            # it flags exactly the systems whose solve raised.
+            singular = np.linalg.slogdet(jacobian)[0] == 0
+            if errors is not None:
+                for i in active[singular].tolist():
+                    errors[i] = SingularJacobianError(f"Jacobian singular at iteration {it}")
+            leave(np.flatnonzero(singular))
+            if active.size == 0:
+                continue
+            delta = np.linalg.solve(jacobian[~singular], diff[:, :, None])[:, :, 0]
 
         shift = rows.shift(delta)
         if errors is not None:

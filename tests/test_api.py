@@ -68,3 +68,31 @@ def test_removed_names_are_gone(module, name):
 
 def test_select_takes_no_implication_oracle():
     assert "implies" not in inspect.signature(selection.select).parameters
+
+
+def test_every_private_helper_is_referenced():
+    """Each module-level private function or class of the package is
+    reached by package code: a name, an attribute or an import of it,
+    not a mention in a docstring alone."""
+    package = os.path.dirname(maxentkit.__file__)
+    defined, referenced = [], set()
+    for filename in sorted(os.listdir(package)):
+        if not filename.endswith(".py"):
+            continue
+        with open(os.path.join(package, filename)) as handle:
+            tree = ast.parse(handle.read())
+        defined += [
+            f"{filename}:{node.name}"
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")
+        ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+    assert len(defined) > 50
+    assert [name for name in defined if name.split(":")[1] not in referenced] == []

@@ -186,6 +186,51 @@ class TestDeterminism:
         assert truth_csv(threaded) == truth_csv(tiny_report)
 
 
+class TestWorkerCount:
+    """``run_benchmark`` starts no more workers than there are pending
+    tasks, and none for one task.  The pool is a stand-in that records
+    its size and runs in this process, so no process starts."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, processes, initializer, initargs):
+                sizes.append(processes)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap_unordered(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr("multiprocessing.Pool", RecordingPool)
+        monkeypatch.setattr(bench, "_WORKER_CTX", None)
+        return sizes
+
+    def test_pool_no_larger_than_the_pending_tasks(self, pools, tiny_report):
+        # TINY has four tasks.
+        report = run_benchmark(BenchmarkConfig(**TINY, threads=6))
+        assert pools == [4]
+        assert report_csv(report) == report_csv(tiny_report)
+
+    def test_one_pending_task_runs_in_process(self, pools, tiny_report, tmp_path):
+        run_benchmark(BenchmarkConfig(**TINY), resume_dir=str(tmp_path))
+        shard = tmp_path / "tasks.jsonl"
+        shard.write_text("\n".join(shard.read_text().strip().split("\n")[:-1]) + "\n")
+        report = run_benchmark(BenchmarkConfig(**TINY, threads=3), resume_dir=str(tmp_path))
+        assert pools == []
+        assert report_csv(report) == report_csv(tiny_report)
+        # Nothing pending: no pool either.
+        run_benchmark(BenchmarkConfig(**TINY, threads=3), resume_dir=str(tmp_path))
+        assert pools == []
+
+
 class TestResume:
     def test_shards_written_and_reused(self, tiny_report, tmp_path):
         first = run_benchmark(BenchmarkConfig(**TINY), resume_dir=str(tmp_path))
@@ -405,7 +450,6 @@ class TestContextTables:
     SHA256 = {
         "closure_bits": "6f3b8104c02d4ebc373844c4f7282d742640861b3e869ccef0cc2b3499f0f7b3",
         "parent": "a2f6c6d1349945172fe258941bf2ebc4e211790826811fba3271e10c06a42b7c",
-        "rank_full": "d2104df4ec201346df0885278fa6ef98e04286101bf1e1fa2f5633756e181812",
     }
 
     @pytest.mark.parametrize("name", sorted(SHA256))

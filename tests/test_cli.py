@@ -532,6 +532,25 @@ class TestBench:
         saved = json.loads((out_dir / "config.json").read_text())
         assert saved["threads"] == 2
 
+    @pytest.mark.parametrize(
+        "value, message",
+        [("0", "threads must be at least 1"), ("-3", "threads must be at least 1"),
+         ("x", "MAXENTKIT_THREADS must be an integer")],
+    )
+    def test_bad_threads_env_exits_2_before_out_dir(
+        self, tmp_path, monkeypatch, capsys, value, message
+    ):
+        monkeypatch.setenv("MAXENTKIT_THREADS", value)
+        config = write_json(
+            tmp_path / "config.json",
+            {"n_spins": 3, "truth": [[1, 2]], "sample_sizes": [100],
+             "n_realizations": 1, "n_samples": 1, "test_samples": 2},
+        )
+        out_dir = tmp_path / "out"
+        assert main(["bench", "--config", config, "--out-dir", str(out_dir)]) == 2
+        assert not out_dir.exists()
+        assert message in capsys.readouterr().err
+
 
 class TestBenchCompare:
     HEADER = (

@@ -191,6 +191,45 @@ class TestLrtPValue:
         arch = to_architecture(CoefficientMatrix(marginal_2x2().rows, marginal_2x2().rows @ f))
         assert lrt_p_value(arch, arch, f, 1000) == 1.0
 
+    @staticmethod
+    def three_spin_pair(f):
+        """The independent and the pairwise three-spin models on ``f``."""
+        return [
+            to_architecture(to_coefficients(SpinModel.from_interactions(interactions, 3), f))
+            for interactions in ([(1,), (2,), (3,)], [(1, 2), (1, 3), (2, 3)])
+        ]
+
+    @pytest.mark.parametrize("excluded", [False, True])
+    def test_matches_the_batch_scores_exactly(self, rng, excluded):
+        f = rng.dirichlet(np.full(8, 3.0))
+        if excluded:
+            # No state with spins 1 and 2 both up: the pairwise model's
+            # (1, 2) moment is zero, which excludes two states.
+            f[[3, 7]] = 0.0
+            f /= f.sum()
+        simple, complex_ = self.three_spin_pair(f)
+        n = 100
+        (s, c), _ = score_candidates([simple, complex_], f, n)
+        stat = 2.0 * n * max(s.maxent_entropy - c.maxent_entropy, 0.0)
+        expected = float(selection._chi2_tail(np.asarray(c.rank - s.rank), np.asarray(stat)))
+        assert lrt_p_value(simple, complex_, f, n) == expected
+        assert 0.0 < expected < 1.0
+
+    def test_simple_error_raises_first(self, rng):
+        f = rng.dirichlet(np.full(8, 3.0))
+        simple, complex_ = self.three_spin_pair(f)
+        # One Newton step per pass: neither candidate converges.
+        options = SolveOptions(max_iterations=1)
+        errors = []
+        for candidate in (simple, complex_):
+            with pytest.raises(SolverError) as info:
+                empirical_p_value(candidate, f, 100, options)
+            errors.append(str(info.value))
+        assert errors[0] != errors[1]
+        with pytest.raises(SolverError) as info:
+            lrt_p_value(simple, complex_, f, 100, options)
+        assert str(info.value) == errors[0]
+
 
 # A five-state sample with three empty states, and non-binary rows whose
 # moments under it sit on a face the exclusion cascade cannot see; the
@@ -236,6 +275,7 @@ class TestScoreCandidatesBatch:
                 continue
             assert score.p_value == empirical_p_value(cand, F5, n)
             assert score.bic == bic(cand, F5, n)
+            assert score.aic == aic(cand, F5, n)
             assert score.expected_entropy == expected_entropy(cand, F5, n)
             if isinstance(cand, CoefficientMatrix):
                 fit = fit_linear_system(CoefficientMatrix(cand.rows, cand.rows @ F5))

@@ -74,7 +74,7 @@ def random_system(rng, n_states=8, extra_rows=3):
 def damped_newton(arch):
     """The damped pass of the Newton kernel on ``arch`` alone, from
     uniform: its probabilities, or the error that stopped it."""
-    p, _, _, _, errors = _damped_pass(arch.rows[None], arch.moments[None], SolveOptions())
+    p, _, _, _, errors = _damped_pass(_DenseRows(arch.rows[None]), arch.moments[None], SolveOptions())
     if errors:
         raise errors[0]
     return p[0]
@@ -304,7 +304,7 @@ class TestNewtonBatch:
     def test_matches_scalar_solver(self, rng):
         systems = [random_system(rng, n_states=8, extra_rows=3) for _ in range(6)]
         arches = [to_architecture(s) for s in systems]
-        row_stack = np.stack([a.rows for a in arches])
+        row_stack = _DenseRows(np.stack([a.rows for a in arches]))
         target_stack = np.stack([a.moments for a in arches])
         probs, residuals, converged = _newton_passes(row_stack, target_stack)[:3]
         assert converged.all()
@@ -316,7 +316,7 @@ class TestNewtonBatch:
         systems = [random_system(rng) for _ in range(4)]
         arches = [to_architecture(s) for s in systems]
         probs, _, converged = _newton_passes(
-            np.stack([a.rows for a in arches]),
+            _DenseRows(np.stack([a.rows for a in arches])),
             np.stack([a.moments for a in arches]),
         )[:3]
         assert converged.all()
@@ -332,7 +332,7 @@ class TestNewtonBatch:
         )
         # Second system demands a marginal above one, which no
         # distribution delivers; the batch must flag it, not loop.
-        row_stack = np.stack([rows, rows])
+        row_stack = _DenseRows(np.stack([rows, rows]))
         target_stack = np.stack(
             [np.array([1.0, 0.4, 0.7]), np.array([1.0, 1.4, 0.7])]
         )
@@ -351,7 +351,8 @@ class TestNewtonBatch:
         for tolerance in (1e-10, 1e-8):
             for arch in arches:
                 probs, residuals, converged = _newton_passes(
-                    arch.rows[None], arch.moments[None], SolveOptions(tolerance=tolerance)
+                    _DenseRows(arch.rows[None]), arch.moments[None],
+                    SolveOptions(tolerance=tolerance),
                 )[:3]
                 assert converged[0]
                 assert residuals[0] <= tolerance
@@ -366,7 +367,7 @@ class TestNewtonBatch:
             solve(to_architecture(CoefficientMatrix(s.rows[:3], s.moments[:3])))
             for s in systems
         ]
-        row_stack = np.stack([a.rows for a in arches])
+        row_stack = _DenseRows(np.stack([a.rows for a in arches]))
         target_stack = np.stack([a.moments for a in arches])
         cold, _, cold_ok = _newton_passes(row_stack, target_stack)[:3]
         start = np.stack([sub.distribution.probs for sub in subs])
@@ -377,17 +378,15 @@ class TestNewtonBatch:
 
     def test_runaway_start_restarts_from_uniform(self):
         rows = marginal_2x2().rows
-        targets = np.array([1.0, 0.4, 0.7])
+        stack, targets = _DenseRows(rows[None]), np.array([[1.0, 0.4, 0.7]])
         # Positive, with its log in the row space, but so far from the
         # solution that undamped Newton runs away from it.
         log_p = rows.T @ np.array([0.0, 10.0, -10.0])
         start = np.exp(log_p - log_p.max())
         start /= start.sum()
-        _, _, ok, _ = _newton_iterate(
-            rows[None], targets[None], start[None].copy(), 1e-10, 200, 200.0
-        )
+        _, _, ok, _ = _newton_iterate(stack, targets, start[None].copy(), 1e-10, 200, 200.0)
         assert not ok[0]
-        probs, _, converged = _newton_passes(rows[None], targets[None], start=start[None])[:3]
+        probs, _, converged = _newton_passes(stack, targets, start=start[None])[:3]
         assert converged[0]
         assert np.max(np.abs(probs[0] - PRODUCT_2X2)) < 1e-9
 
@@ -582,7 +581,8 @@ class TestNewtonPasses:
         arch = to_architecture(system)
         n = arch.n_states
         converged = _newton_iterate(
-            arch.rows[None], arch.moments[None], np.full((1, n), 1.0 / n), 1e-10, 200, 200.0
+            _DenseRows(arch.rows[None]), arch.moments[None], np.full((1, n), 1.0 / n),
+            1e-10, 200, 200.0,
         )[2]
         assert not converged[0]
         fit = fit_linear_system(system)
