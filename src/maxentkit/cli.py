@@ -239,8 +239,12 @@ def _cmd_select(args: argparse.Namespace) -> int:
             raise InputError(
                 f"candidate {cid}: moments come from the counts file, not the candidate"
             )
-        if c.rows.shape[1] != len(labels):
-            raise InputError(f"candidate {cid}: state space differs from the first candidate")
+        if c.labels != labels:
+            # Rows are read in their own file's label order, which the
+            # counts are not.
+            raise InputError(
+                f"candidate {cid}: state labels differ from the first candidate's"
+            )
 
     counts = _parse_counts(args.counts, labels)
     n = int(counts.sum())

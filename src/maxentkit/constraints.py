@@ -95,26 +95,25 @@ class _RowForm:
         self.matrix = matrix
         self._rref_checked = False
         self._within: dict["_RowForm", bool] = {}
+        #: Set on first use, here or by :func:`_architectures`, which
+        #: eliminates every form of its call that lacks one at once.
+        self._elimination: Optional["_Elimination"] = None
 
     @cached_property
     def is_binary(self) -> bool:
         r = self.matrix
         return bool(np.all((r == 0.0) | (r == 1.0)))
 
-    @cached_property
+    @property
     def elimination(self) -> "_Elimination":
-        return _eliminate(self.matrix)
+        if self._elimination is None:
+            (self._elimination,) = _eliminate([self.matrix])
+        return self._elimination
 
     @property
     def canonical(self) -> "_RowForm":
         """The form of the RREF of these rows."""
         return self.elimination.canonical
-
-    @cached_property
-    def replay_key(self) -> tuple[int, int]:
-        """Row count and number of elimination steps: the forms whose
-        eliminations :func:`_architectures` replays in lockstep."""
-        return self.matrix.shape[0], self.elimination.pivots.size
 
     @cached_property
     def pivot_columns(self) -> np.ndarray:
@@ -365,111 +364,158 @@ class _Elimination(NamedTuple):
     factors: np.ndarray
 
 
-def _eliminate(rows: np.ndarray) -> _Elimination:
-    """Gauss-Jordan elimination of ``rows``, kept so that it can be
-    replayed on any moment vector.
+def _eliminate(matrices: Sequence[np.ndarray]) -> list[_Elimination]:
+    """Gauss-Jordan elimination of each row matrix of ``matrices``, kept
+    so that it can be replayed on any moment vector; all in one lockstep
+    pass.
 
     Partial pivoting picks the largest remaining entry of each column;
-    entries at or below :data:`PIVOT_RTOL` times the largest entry of
-    the input rows are treated as zero, so a block left holding only
-    roundoff yields no pivot.  A row, once swapped into pivot place ``k``,
-    is never swapped again, so the swaps compose to one reordering of
-    the input rows: taken up front, it leaves step ``k`` to divide row
-    ``k`` by its pivot and subtract its multiples from every row, the
-    same operations on the same values as with the swaps in between.
+    entries at or below :data:`PIVOT_RTOL` times the largest entry of a
+    matrix are treated as zero, so a block left holding only roundoff
+    yields no pivot.  A row, once swapped into pivot place ``k``, is
+    never swapped again, so the swaps compose to one reordering of the
+    input rows: taken up front, it leaves step ``k`` to divide row ``k``
+    by its pivot and subtract its multiples from every row, the same
+    operations on the same values as with the swaps in between.
+
+    The matrices are stacked with zero rows below and zero columns to the
+    right.  Column ``c`` of every matrix is eliminated at once, each
+    matrix with its own pivot search, threshold and rank.  A padded entry
+    stays zero and never pivots, so each matrix sees the same elementwise
+    operations in the same order as alone, and its elimination does not
+    depend on the stack.
     """
-    work = np.array(rows, dtype=float)
-    n_rows, n_cols = work.shape
-    threshold = PIVOT_RTOL * float(np.abs(rows).max())
-    order = np.arange(n_rows)
-    pivots, factors = [], []
-    rank = 0
-    for col in range(n_cols):
-        if rank == n_rows:
+    if not matrices:
+        return []
+    n_rows, n_cols = np.array([m.shape for m in matrices]).T
+    rows_live = np.arange(n_rows.max()) < n_rows[:, None]
+    n_matrices, n_padded = rows_live.shape
+    entries = rows_live[:, :, None] & (np.arange(n_cols.max()) < n_cols[:, None])[:, None, :]
+    work = np.zeros(entries.shape)
+    work[entries] = np.concatenate([m.ravel() for m in matrices])
+    threshold = PIVOT_RTOL * np.abs(work).max(axis=(1, 2))
+    order = np.tile(np.arange(n_padded), (n_matrices, 1))
+    pivots = np.zeros((n_matrices, n_padded))
+    # Per matrix and step, the factors indexed by input row until the
+    # final order is known.
+    factors = np.zeros((n_matrices, n_padded, n_padded))
+    rank = np.zeros(n_matrices, dtype=int)
+    for col in range(work.shape[2]):
+        if (rank == n_rows).all():
             break
-        column = np.abs(work[rank:, col])
-        local = int(column.argmax())
-        if column[local] <= threshold:
+        column = np.abs(work[:, :, col])
+        # Rows already holding a pivot take no part in the search.
+        column[np.arange(n_padded) < rank[:, None]] = -1.0
+        local = column.argmax(axis=1)
+        sel = np.flatnonzero(column[np.arange(n_matrices), local] > threshold)
+        if sel.size == 0:
             continue
-        pivot_row = rank + local
-        if pivot_row != rank:
-            work[[rank, pivot_row]] = work[[pivot_row, rank]]
-            order[[rank, pivot_row]] = order[[pivot_row, rank]]
-        pivot = work[rank, col]
-        work[rank] /= pivot
+        at, r, pivot_row = np.arange(sel.size), rank[sel], local[sel]
+        block, block_order = work[sel], order[sel]
+        block[at, r], block[at, pivot_row] = block[at, pivot_row], block[at, r]
+        block_order[at, r], block_order[at, pivot_row] = (
+            block_order[at, pivot_row], block_order[at, r]
+        )
+        pivot = block[at, r, col]
+        pivot_rows = block[at, r] / pivot[:, None]
+        block[at, r] = pivot_rows
         # A zero factor leaves the pivot row as it is.
-        factor = work[:, col].copy()
-        factor[rank] = 0.0
-        work -= np.outer(factor, work[rank])
-        work[:, col] = 0.0
-        work[rank, col] = 1.0
-        pivots.append(pivot)
-        # Indexed by input row until the final order is known.
-        by_input = np.empty(n_rows)
-        by_input[order] = factor
-        factors.append(by_input)
-        rank += 1
-    canonical = work[:rank].copy()
-    canonical.setflags(write=False)
-    arrays = (
-        order,
-        np.array(pivots, dtype=float),
-        np.array(factors, dtype=float).reshape(rank, n_rows)[:, order],
-    )
-    for a in arrays:
-        a.setflags(write=False)
-    return _Elimination(_RowForm(canonical), *arrays)
+        factor = block[:, :, col].copy()
+        factor[at, r] = 0.0
+        block -= factor[:, :, None] * pivot_rows[:, None, :]
+        block[:, :, col] = 0.0
+        block[at, r, col] = 1.0
+        work[sel], order[sel] = block, block_order
+        pivots[sel, r] = pivot
+        by_input = np.empty(factor.shape)
+        np.put_along_axis(by_input, block_order, factor, axis=1)
+        factors[sel, r] = by_input
+        rank[sel] += 1
+    factors = np.take_along_axis(factors, order[:, None, :], axis=2)
+    out = []
+    for k, (n, m, steps) in enumerate(zip(n_rows.tolist(), n_cols.tolist(), rank.tolist())):
+        canonical = work[k, :steps, :m].copy()
+        arrays = (order[k, :n].copy(), pivots[k, :steps].copy(), factors[k, :steps, :n].copy())
+        for a in (canonical, *arrays):
+            a.setflags(write=False)
+        out.append(_Elimination(_RowForm(canonical), *arrays))
+    return out
 
 
 def _architectures(
-    forms: Sequence[_RowForm], moments: np.ndarray
+    forms: Sequence[_RowForm], moments: Sequence[np.ndarray]
 ) -> list[Union[ArchitectureMatrix, InconsistentSystemError]]:
-    """Canonical forms of many systems, by one lockstep replay.
+    """Canonical forms of many systems on any row counts, by one
+    lockstep replay.
 
-    The systems have the row forms ``forms``, which share one
-    :attr:`_RowForm.replay_key`, and the stacked moments ``moments``,
-    one row each.  Step ``k`` of every form's elimination is replayed on
-    its own row at once, so each system sees the same elementwise
+    The systems have the row forms ``forms`` and the moment vectors
+    ``moments``.  Every elimination the forms lack is first computed in
+    one :func:`_eliminate` pass and kept on its form.  The moments are
+    then stacked with zero rows, the eliminations with identity steps,
+    and step ``k`` of every elimination is replayed at once; a padded
+    step is masked out, not computed, so it leaves even the sign of a
+    zero as it is.  Each system thus sees the same elementwise
     operations in the same order as alone, and its result does not
     depend on the stack.  A system whose eliminated rows keep a
     right-hand side gets its :class:`InconsistentSystemError` in its
     place.
     """
+    if not forms:
+        return []
+    # A form that several systems share is eliminated once.
+    fresh = [form for form in dict.fromkeys(forms) if form._elimination is None]
+    for form, elimination in zip(fresh, _eliminate([form.matrix for form in fresh])):
+        form._elimination = elimination
     steps = [form.elimination for form in forms]
-    n_steps = forms[0].replay_key[1]
-    if n_steps == 0:
+    n_steps = np.array([e.pivots.size for e in steps])
+    if not n_steps.all():
         raise InputError("constraint system reduced to nothing")
-    order, pivots, factors = (
-        np.array([getattr(e, name) for e in steps]) for name in ("order", "pivots", "factors")
+    n_rows = np.array([e.order.size for e in steps])
+    rows_live = np.arange(n_rows.max()) < n_rows[:, None]
+    steps_live = np.arange(n_steps.max()) < n_steps[:, None]
+    # Masks fill their entries in row-major order: system by system.
+    padded = np.zeros(rows_live.shape)
+    padded[rows_live] = np.concatenate(moments)
+    order = np.tile(np.arange(rows_live.shape[1]), (len(forms), 1))
+    order[rows_live] = np.concatenate([e.order for e in steps])
+    pivots = np.ones(steps_live.shape)
+    pivots[steps_live] = np.concatenate([e.pivots for e in steps])
+    factors = np.zeros((*steps_live.shape, rows_live.shape[1]))
+    factors[steps_live[:, :, None] & rows_live[:, None, :]] = np.concatenate(
+        [e.factors.ravel() for e in steps]
     )
-    work = np.take_along_axis(np.asarray(moments, dtype=float), order, axis=1)
-    for k in range(n_steps):
-        work[:, k] /= pivots[:, k]
-        work -= factors[:, k] * work[:, k, None]
+    work = np.take_along_axis(padded, order, axis=1)
+    for k in range(steps_live.shape[1]):
+        live = steps_live[:, k]
+        np.divide(work[:, k], pivots[:, k], out=work[:, k], where=live)
+        np.subtract(work, factors[:, k] * work[:, k, None], out=work, where=live[:, None])
 
     # A zero row with a surviving right-hand side, beyond roundoff of
     # the moments' own scale, makes the system inconsistent.
-    scale = np.maximum(1.0, np.max(np.abs(moments), axis=1))
-    tails = work[:, n_steps:]
-    bad = np.abs(tails) > PIVOT_RTOL * scale[:, None]
-    canonical = work[:, :n_steps]
-    canonical.setflags(write=False)
-    # A row's sum along the contiguous axis has the bits of its own sum.
-    totals = canonical.sum(axis=1).tolist()
+    scale = np.maximum(1.0, np.max(np.abs(padded), axis=1))
+    tails = rows_live & ~(np.arange(rows_live.shape[1]) < n_steps[:, None])
+    bad = tails & (np.abs(work) > PIVOT_RTOL * scale[:, None])
+    work.setflags(write=False)
+    # A row's sum along the contiguous axis has the bits of its own sum,
+    # when it spans that row's canonical moments and nothing more.
+    totals = np.empty(len(forms))
+    for count in np.unique(n_steps).tolist():
+        same = n_steps == count
+        totals[same] = work[same, :count].sum(axis=1)
     out: list[Union[ArchitectureMatrix, InconsistentSystemError]] = []
     for k, inconsistent in enumerate(bad.any(axis=1).tolist()):
         if inconsistent:
-            a = int(bad[k].argmax())
+            row = int(bad[k].argmax())
             out.append(InconsistentSystemError(
-                f"moments are infeasible: eliminated row {n_steps + a} "
-                f"keeps right-hand side {float(tails[k, a]):.6g}"
+                f"moments are infeasible: eliminated row {row} "
+                f"keeps right-hand side {float(work[k, row]):.6g}"
             ))
         else:
             # An architecture's own rows (checked as RREF) replay to
             # themselves, and its moments were checked for normalization
             # when it was built.
-            total = None if forms[k]._rref_checked else totals[k]
-            out.append(_architecture(steps[k].canonical, canonical[k], total))
+            total = None if forms[k]._rref_checked else float(totals[k])
+            out.append(_architecture(steps[k].canonical, work[k, : n_steps[k]], total))
     return out
 
 
@@ -481,14 +527,14 @@ def to_architecture(
     The elimination of the rows is computed once per row matrix (see
     :func:`_eliminate`) and its steps are replayed on the moments, the
     same operations in the same order as eliminating the augmented
-    system; this is :func:`_architectures` on a stack of one.  Rows
+    system; this is :func:`_architectures` on a list of one.  Rows
     eliminated to zero are dropped; a zero row with a surviving
     right-hand side makes the system inconsistent.
 
     The output is idempotent: canonicalizing an architecture returns the
     same matrix.
     """
-    (architecture,) = _architectures([system._form], system.moments[None])
+    (architecture,) = _architectures([system._form], [system.moments])
     if isinstance(architecture, InconsistentSystemError):
         raise architecture
     return architecture

@@ -1,11 +1,12 @@
 """Maximum-entropy solvers for linearly constrained simplex models.
 
 :func:`fit_linear_systems` is the fit path.  The binary systems run
-the zero-moment exclusion cascade, one call per row shape, so boundary
+the zero-moment exclusion cascade, all in one padded call, so boundary
 moments (targets of exactly zero or one) shrink the working space
 instead of diverging the multipliers.  Every system, reduced or not,
-is then canonicalized, one lockstep replay of the eliminations per row
-count and elimination length.  A saturated system is read off
+is then canonicalized in one padded pass: the row forms not yet
+eliminated are eliminated together, and every elimination is replayed
+on its moments in one lockstep replay.  A saturated system is read off
 directly; the others are stacked by their count ``a'`` of working
 states and their padded width: on at most :data:`PAD_STATES` working
 states each system's rows are padded with zero rows of target zero to
@@ -325,53 +326,53 @@ def _working_systems(
 ) -> list[Union[tuple[CoefficientMatrix, ArchitectureMatrix, np.ndarray], SolverError]]:
     """Per system, the system on its working space, its canonical form
     and the mask of excluded states; or the :class:`SolverError` that
-    stopped it.
+    stopped it.  The systems share one state space.
 
-    The binary systems run the exclusion cascade, one
-    :func:`~maxentkit.constraints._support_reductions` call per row
-    shape, and each that excludes a state is replaced by its surviving
-    rows on its working states.  Every system is then canonicalized,
-    one lockstep replay per
-    :attr:`~maxentkit.constraints._RowForm.replay_key`.
+    The binary systems run the exclusion cascade in one
+    :func:`~maxentkit.constraints._support_reductions` call, padded to
+    one row count with zero rows of target zero, which exclude nothing
+    and never survive; each system that excludes a state is replaced by
+    its surviving rows on its working states.  Every system is then
+    canonicalized in one
+    :func:`~maxentkit.constraints._architectures` call.
     """
     out: list = [None] * len(systems)
     working = list(systems)
-    excluded = [np.zeros(system.n_states, dtype=bool) for system in systems]
-    shapes: dict[tuple[int, int], list[int]] = defaultdict(list)
-    for i, system in enumerate(systems):
-        if system._form.is_binary:
-            shapes[system.rows.shape].append(i)
-    for members in shapes.values():
-        rows = np.array([systems[i].rows for i in members])
-        moments = np.array([systems[i].moments for i in members])
-        masks, kept, errors = _support_reductions(rows == 1.0, moments)
+    excluded = np.zeros((len(systems), systems[0].n_states if systems else 0), dtype=bool)
+    binary = [i for i, system in enumerate(systems) if system._form.is_binary]
+    if binary:
+        counts = np.array([len(systems[i].rows) for i in binary])
+        live = np.arange(counts.max()) < counts[:, None]
+        supports = np.zeros((*live.shape, excluded.shape[1]), dtype=bool)
+        supports[live] = np.concatenate([systems[i].rows for i in binary]) == 1.0
+        moments = np.zeros(live.shape)
+        moments[live] = np.concatenate([systems[i].moments for i in binary])
+        masks, kept, errors = _support_reductions(supports, moments)
         for k, exc in errors.items():
             if isinstance(exc, InputError):
                 raise exc
-            out[members[k]] = exc
+            out[binary[k]] = exc
         for k in np.flatnonzero(masks.any(axis=1)).tolist():
             if k in errors:
                 continue
-            reduced_rows = rows[k][np.ix_(kept[k], ~masks[k])]
-            reduced_moments = moments[k][kept[k]]
+            i = binary[k]
+            own = kept[k, : len(systems[i].rows)]
+            reduced_rows = systems[i].rows[np.ix_(own, ~masks[k])]
+            reduced_moments = systems[i].moments[own]
             reduced_rows.setflags(write=False)
             reduced_moments.setflags(write=False)
             # Reduced from an architecture, the rows need not keep an
             # all-ones row, which the CoefficientMatrix constructor asks for.
-            i = members[k]
             working[i] = _derive(CoefficientMatrix, _RowForm(reduced_rows), reduced_moments)
             excluded[i] = masks[k]
-    stacks: dict[tuple[int, int], list[int]] = defaultdict(list)
-    for i, system in enumerate(working):
-        if out[i] is None:
-            stacks[system._form.replay_key].append(i)
-    for members in stacks.values():
-        forms = [working[i]._form for i in members]
-        moments = np.array([working[i].moments for i in members])
-        for i, architecture in zip(members, _architectures(forms, moments)):
-            if not isinstance(architecture, SolverError):
-                architecture = (working[i], architecture, excluded[i])
-            out[i] = architecture
+    members = [i for i in range(len(systems)) if out[i] is None]
+    architectures = _architectures(
+        [working[i]._form for i in members], [working[i].moments for i in members]
+    )
+    for i, architecture in zip(members, architectures):
+        if not isinstance(architecture, SolverError):
+            architecture = (working[i], architecture, excluded[i])
+        out[i] = architecture
     return out
 
 

@@ -403,6 +403,24 @@ class TestSelect:
         write_json(cand_dir / "b.json", {"rows": [[1, 1]]})
         assert main(["select", str(cand_dir), product_counts]) == 2
 
+    def test_candidate_in_another_label_order_rejected(
+        self, tmp_path, product_counts, capsys
+    ):
+        # Both constrain the marginal of spin 1; read in the first
+        # candidate's label order, b would constrain spin 2's instead.
+        cand_dir = tmp_path / "cands"
+        cand_dir.mkdir()
+        write_json(
+            cand_dir / "a.json",
+            {"rows": [[1, 1, 1, 1], [0, 0, 1, 1]], "labels": ["00", "01", "10", "11"]},
+        )
+        write_json(
+            cand_dir / "b.json",
+            {"rows": [[1, 1, 1, 1], [0, 1, 0, 1]], "labels": ["00", "10", "01", "11"]},
+        )
+        assert main(["select", str(cand_dir), product_counts]) == 2
+        assert "candidate b: state labels differ" in capsys.readouterr().err
+
     def test_absent_labels_warn(self, candidate_dir, tmp_path, capsys, caplog):
         counts = write(
             tmp_path / "partial.csv",

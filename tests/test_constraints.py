@@ -193,10 +193,12 @@ class TestCachedElimination:
 
     def test_replay_matches_fresh_system_and_reference(self, rng, monkeypatch):
         system = CoefficientMatrix(self.ROWS, self.ROWS @ np.full(6, 1 / 6))
-        calls = []
+        eliminated = []
         eliminate = constraints._eliminate
         monkeypatch.setattr(
-            constraints, "_eliminate", lambda rows: calls.append(1) or eliminate(rows)
+            constraints,
+            "_eliminate",
+            lambda matrices: eliminated.extend(matrices) or eliminate(matrices),
         )
         for _ in range(5):
             moments = self.ROWS @ rng.dirichlet(np.ones(6))
@@ -207,8 +209,8 @@ class TestCachedElimination:
             for arch in (cached, fresh):
                 assert np.array_equal(arch.rows, rows)
                 assert np.array_equal(arch.moments, canonical)
-        # One elimination for the shared rows, one per fresh system.
-        assert len(calls) == 1 + 5
+        # One matrix eliminated for the shared rows, one per fresh system.
+        assert len(eliminated) == 1 + 5
 
     def test_inconsistent_moments_still_raise(self, rng):
         system = CoefficientMatrix(self.ROWS, self.ROWS @ np.full(6, 1 / 6))
@@ -256,7 +258,6 @@ class TestLockstepReplay:
         moments[3] += 0.1
         systems[2] = systems[2].with_moments(moments)
         forms = [system._form for system in systems]
-        assert len({form.replay_key for form in forms}) == 1
         assert forms[0].elimination.order[0] != forms[1].elimination.order[0]
 
         stacked = constraints._architectures(forms, np.stack([s.moments for s in systems]))
@@ -292,6 +293,66 @@ class TestLockstepReplay:
             reference_rows, canonical, _ = augmented_rref(rows, moments)
             assert np.array_equal(fit.architecture.rows, reference_rows)
             assert np.array_equal(fit.architecture.moments, canonical)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_stack_matches_each_system_alone(self, seed):
+        rng = np.random.default_rng(seed)
+        systems = random_stack(rng)
+        forms = [system._form for system in systems]
+        stacked = constraints._architectures(forms, [s.moments for s in systems])
+        assert sum(isinstance(a, InconsistentSystemError) for a in stacked) == 1
+        for form in forms:
+            (alone,) = constraints._eliminate([form.matrix])
+            for name in ("order", "pivots", "factors"):
+                assert getattr(form.elimination, name).tobytes() == getattr(alone, name).tobytes()
+            assert form.canonical.matrix.tobytes() == alone.canonical.matrix.tobytes()
+        for system, arch in zip(systems, stacked):
+            if isinstance(arch, InconsistentSystemError):
+                with pytest.raises(InconsistentSystemError) as alone:
+                    to_architecture(CoefficientMatrix(system.rows, system.moments))
+                assert str(alone.value) == str(arch)
+                continue
+            rows, canonical, _ = augmented_rref(system.rows, system.moments)
+            # Bytes, so that the sign of a zero counts too.
+            assert arch.rows.tobytes() == rows.tobytes()
+            assert arch.moments.tobytes() == canonical.tobytes()
+
+
+def random_stack(rng):
+    """Systems of several row and state counts: binary rows with ties and
+    a duplicate row, an integer matrix with a dependent row and one that
+    is not, an inconsistent system, a moment of -0.0, systems that share
+    rows, and matrices whose scales differ a billionfold.  Moments not
+    given are induced by random distributions."""
+    def induced(rows):
+        return CoefficientMatrix(rows, rows @ rng.dirichlet(np.ones(rows.shape[1])))
+
+    systems = []
+    for n_rows, n_states in [(3, 4), (6, 8), (9, 16), (5, 6)]:
+        binary = (rng.random((n_rows, n_states)) < 0.5).astype(float)
+        binary[0] = 1.0
+        binary[1, 0] = 1.0
+        binary[-1] = binary[1]
+        systems.append(induced(binary))
+    integer = rng.integers(-3, 4, size=(5, 7)).astype(float)
+    integer[0] = 1.0
+    integer[1, 0] = 2.0
+    integer[4] = integer[1] + integer[2]
+    systems += [induced(integer), induced(integer[:4])]
+    moments = np.array(systems[-2].moments)
+    moments[4] += 0.25
+    systems.append(systems[-2].with_moments(moments))
+    # Row 2 is half of row 1, whose target is zero: the eliminated row
+    # keeps a right-hand side of -0.0.
+    zero = np.array([[1, 1, 1, 1], [0, 0, 1, 1], [0, 0, 0.5, 0.5]])
+    systems.append(CoefficientMatrix(zero, np.array([1.0, 0.0, -0.0])))
+    systems.append(CoefficientMatrix(zero[:2], np.array([1.0, -0.0])))
+    systems.append(systems[0].with_moments(systems[0].rows @ np.full(4, 0.25)))
+    # Each matrix pivots against its own largest entry: 1e-4 is a pivot
+    # here, even beside a matrix whose largest entry is 1e6.
+    systems.append(induced(np.array([[1, 1, 1, 1], [1e-4, 0, 0, 2e-4]])))
+    systems.append(induced(np.array([[1, 1, 1], [0, 1e6, 0]])))
+    return [systems[k] for k in rng.permutation(len(systems))]
 
 
 class TestArchitectureMatrix:
