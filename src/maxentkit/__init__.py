@@ -68,7 +68,6 @@ from .selection import (
     lrt_p_value,
     mc_test_error,
     mc_training_error,
-    score_candidates,
     select,
 )
 from .simplex import (

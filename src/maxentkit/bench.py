@@ -328,10 +328,12 @@ class _Context:
         cols = np.nonzero(self._members(bits))[1].reshape(len(bits), -1)
         return np.hstack([np.zeros((len(bits), 1), dtype=int), 1 + cols])
 
-    def implying(self, i: int) -> np.ndarray:
-        """Indices of models whose closure contains model ``i``'s."""
+    def implying(self, i: int, js: np.ndarray) -> np.ndarray:
+        """The ``implying(i, js)`` oracle of ``select_arrays``: the mask
+        over the models ``js`` of those whose closure contains model
+        ``i``'s."""
         ci = self.closure_bits[i]
-        return np.flatnonzero((self.closure_bits & ci) == ci)
+        return (self.closure_bits[js] & ci) == ci
 
 
 def _fit_all_models(ctx: _Context, counts: np.ndarray, n: int) -> _FitTable:

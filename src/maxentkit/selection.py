@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -47,7 +48,7 @@ from .constraints import (
     ArchitectureMatrix,
     CoefficientMatrix,
     _derive,
-    is_nested,
+    _RowForm,
 )
 from .errors import (
     ConvergenceError,
@@ -78,7 +79,6 @@ __all__ = [
     "expected_entropy",
     "alpha_empirical",
     "alpha_lrt",
-    "score_candidates",
     "select",
     "select_arrays",
     "mc_training_error",
@@ -149,16 +149,21 @@ def _induced(
 ) -> list[Union[ArchitectureMatrix, CoefficientMatrix]]:
     """The candidates on the moments the distribution ``probs`` induces.
 
-    ``probs`` is checked once; a coefficient system's moments then come
-    from finite rows and finite probabilities, so they go onto its form
-    as computed, without the copy and the checks of ``with_moments``.
-    An architecture keeps ``with_moments`` and its normalization
-    warning.
+    ``probs`` is checked once, by :class:`Distribution`, and must lie on
+    the state space of every candidate; the first candidate on another
+    one is named.  A coefficient system's moments then come from finite
+    rows and finite probabilities, so they go onto its form as computed,
+    without the copy and the checks of ``with_moments``.  An
+    architecture keeps ``with_moments`` and its normalization warning.
     """
-    if probs.ndim != 1 or not np.all(np.isfinite(probs)):
-        raise InputError("probabilities must be a finite vector")
+    Distribution(probs)
     out = []
-    for candidate in candidates:
+    for i, candidate in enumerate(candidates):
+        if candidate.n_states != probs.size:
+            raise InputError(
+                f"candidate {i} is on {candidate.n_states} states, the distribution "
+                f"on {probs.size}"
+            )
         moments = candidate.rows @ probs
         if isinstance(candidate, CoefficientMatrix):
             moments.setflags(write=False)
@@ -168,16 +173,26 @@ def _induced(
     return out
 
 
+def _check_sample_size(n: object) -> None:
+    """Raise :class:`InputError` unless ``n`` is a positive integer (a
+    bool is not)."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise InputError(f"sample size n must be a positive integer, got {n!r}")
+
+
 def _fit_entropies(
     candidates: Sequence[Union[ArchitectureMatrix, CoefficientMatrix]],
     f: Union[Distribution, np.ndarray],
+    n: int,
     options: Optional[SolveOptions],
 ) -> tuple[np.ndarray, float, np.ndarray, int]:
     """The candidates' ``h_hat, h_f, rank, n_states`` for
-    :func:`score_arrays`.  Every candidate is fitted on the moments ``f``
-    induces, all in one :func:`~maxentkit.solver._fit_table` call, and
-    its entropy is read off its row of the table as :func:`_score_fits`
-    reads it.  The first failed fit raises its error."""
+    :func:`score_arrays` on ``n`` samples, once ``n`` is checked.  Every
+    candidate is fitted on the moments ``f`` induces, all in one
+    :func:`~maxentkit.solver._fit_table` call, and its entropy is read
+    off its row of the table as :func:`_score_fits` reads it.  The first
+    failed fit raises its error."""
+    _check_sample_size(n)
     probs = prob_array(f)
     table = _fit_table(_induced(candidates, probs), options)
     if table.errors:
@@ -199,7 +214,7 @@ def empirical_p_value(
     ``1 - F_{a-d}(2 n (H[maxent] - H[f]))``.  A saturated candidate has
     zero degrees of freedom and p-value one.
     """
-    (h_hat,), h_f, (rank,), n_states = _fit_entropies([architecture], f, options)
+    (h_hat,), h_f, (rank,), n_states = _fit_entropies([architecture], f, n, options)
     return _p_value(h_hat, h_f, rank, n_states, n)
 
 
@@ -212,7 +227,11 @@ def lrt_p_value(
 ) -> float:
     """Likelihood-ratio tail probability of a nested pair.
 
-    Requires ``simple`` to be implied by ``complex_``; the statistic
+    Both candidates are fitted on the moments ``f`` induces, so their
+    own moments play no part, and ``simple`` must be nested in
+    ``complex_`` by canonical rows alone, as ``hyper_maxent_lrt`` nests
+    them in :func:`select`: its rows must lie in the row space of
+    ``complex_``'s.  The statistic
     ``2 n (H[maxent_simple] - H[maxent_complex])`` is referred to a
     chi-squared with ``rank(complex_) - rank(simple)`` degrees of
     freedom.  Both candidates are fitted in one fit table; where both
@@ -220,10 +239,12 @@ def lrt_p_value(
     dof zero, hence p-value one, and a saturated ``complex_`` reduces to
     :func:`empirical_p_value`.
     """
-    if not is_nested(simple, complex_):
+    if simple.n_states != complex_.n_states:
+        raise InputError("architectures must share one microstate space")
+    if not _canonical_form(simple).within(_canonical_form(complex_)):
         raise NotNestedError("simple architecture is not implied by the complex one")
     (h_simple, h_complex), _, (rank_simple, rank_complex), _ = _fit_entropies(
-        [simple, complex_], f, options
+        [simple, complex_], f, n, options
     )
     # The complex fit stands in for f, and its rank for the state count.
     return _p_value(h_simple, h_complex, rank_simple, rank_complex, n)
@@ -241,7 +262,7 @@ def bic(
     :func:`empirical_p_value`.  Standardized up to candidate-independent
     additive constants; see the module docstring.
     """
-    return float(score_arrays(*_fit_entropies([architecture], f, options), n)[2][0])
+    return float(score_arrays(*_fit_entropies([architecture], f, n, options), n)[2][0])
 
 
 def aic(
@@ -252,7 +273,7 @@ def aic(
 ) -> float:
     """Akaike information criterion ``2 n H[maxent] + 2 d``, standardized
     like :func:`bic`."""
-    return float(score_arrays(*_fit_entropies([architecture], f, options), n)[3][0])
+    return float(score_arrays(*_fit_entropies([architecture], f, n, options), n)[3][0])
 
 
 def expected_entropy(
@@ -263,7 +284,7 @@ def expected_entropy(
 ) -> float:
     """Mean entropy of an ``n``-sample class member,
     ``H[maxent] - (a - d) / (2 n)``."""
-    return float(score_arrays(*_fit_entropies([architecture], f, options), n)[4][0])
+    return float(score_arrays(*_fit_entropies([architecture], f, n, options), n)[4][0])
 
 
 def alpha_empirical(
@@ -400,28 +421,6 @@ class SelectionResult:
     failed_ids: tuple[Union[int, str], ...] = ()
 
 
-def score_candidates(
-    candidates: Sequence[Union[ArchitectureMatrix, CoefficientMatrix]],
-    f: Union[Distribution, np.ndarray],
-    n: int,
-    *,
-    ids: Optional[Sequence[Union[int, str]]] = None,
-    options: Optional[SolveOptions] = None,
-) -> tuple[list[Optional[ModelScore]], float]:
-    """Score every candidate on one dataset.
-
-    Returns a list aligned with ``candidates`` (``None`` where the solve
-    failed; failures are logged, not raised) and the empirical entropy
-    of ``f``.  All candidates are fitted together, in one table, by the
-    fit core :func:`~maxentkit.solver._fit_table`.
-    """
-    if ids is None:
-        ids = list(range(len(candidates)))
-    table, columns, h_f = _score_and_fit(candidates, f, n, ids, options)
-    rows = iter(table)
-    return [next(rows) if ok else None for ok in columns[-1]], h_f
-
-
 def _score_fits(
     fits: np.ndarray,
     f: np.ndarray,
@@ -448,36 +447,6 @@ def _score_fits(
     return h_hat, h_f, p_value, bic_score, aic_score, ~np.isnan(h_hat) & ~deficit
 
 
-def _score_and_fit(
-    candidates: Sequence[Union[ArchitectureMatrix, CoefficientMatrix]],
-    f: Union[Distribution, np.ndarray],
-    n: int,
-    ids: Sequence[Union[int, str]],
-    options: Optional[SolveOptions],
-) -> tuple[ScoreTable, tuple[np.ndarray, ...], float]:
-    """Fit and score every candidate; failures, entropy deficits
-    included, are logged, not raised.  Returns the solvable candidates'
-    :class:`ScoreTable`, every candidate's columns in the order
-    :func:`select_arrays` takes them (effective rank, MaxEnt entropy,
-    p-value, BIC, AIC and the mask of solvable candidates), and the
-    empirical entropy."""
-    if not candidates:
-        raise InputError("need at least one candidate")
-    probs = prob_array(f)
-    table = _fit_table(_induced(candidates, probs), options)
-    for i in sorted(table.errors):
-        log.warning("candidate %s failed to solve: %s", ids[i], table.errors[i])
-    rank = table.rank_eff
-    h_hat, h_f, p_value, bic_score, aic_score, valid = _score_fits(
-        table.probabilities, probs, rank, n, ids.__getitem__
-    )
-    table = ScoreTable(
-        [cid for cid, ok in zip(ids, valid) if ok],
-        h_hat[valid], rank[valid], h_f, probs.size, n,
-    )
-    return table, (rank, h_hat, p_value, bic_score, aic_score, valid), h_f
-
-
 def select_arrays(
     rank: np.ndarray,
     entropy_hat: np.ndarray,
@@ -488,17 +457,19 @@ def select_arrays(
     n_states: int,
     n: int,
     config: SelectionConfig,
-    implying: Optional[Callable[[int], Sequence[int]]] = None,
+    implying: Optional[Callable[[int, np.ndarray], np.ndarray]] = None,
 ) -> tuple[int, bool]:
     """Selection core over parallel per-candidate arrays.
 
-    ``implying(i)`` must yield the indices of every candidate whose
-    constraint set contains candidate ``i``'s; it is only consulted by
-    ``hyper_maxent_lrt`` and may include ``i`` itself or invalid entries,
-    which are ignored.  :func:`select` builds it from the candidates'
-    canonical rows (:func:`_nesting_implies`), the benchmark sweep from
-    its library's closures.  Ties break toward the smallest index, so
-    callers should order candidates canonically.  Returns
+    Only ``hyper_maxent_lrt`` consults the oracle ``implying``.  For each
+    candidate ``i`` it tests, in canonical order, this function takes
+    the candidates the LRT can compare it with, the valid ones of higher
+    rank, ``js = np.flatnonzero(valid & (rank > rank[i]))``, and asks
+    ``implying(i, js)`` for the boolean mask over ``js`` of those whose
+    constraint set contains ``i``'s.  :func:`select` answers from the
+    candidates' canonical rows (:func:`_nesting_implies`), the benchmark
+    sweep from its library's closures.  Ties break toward the smallest
+    index, so callers should order candidates canonically.  Returns
     ``(index, fallback)``.
     """
     valid = np.asarray(valid, dtype=bool)
@@ -526,8 +497,8 @@ def select_arrays(
         raise InputError("hyper_maxent_lrt requires an implication oracle")
     entropy_hat = np.asarray(entropy_hat, dtype=float)
     for i in order:
-        js = np.asarray(implying(int(i)), dtype=int)
-        js = js[valid[js] & (rank[js] > rank[i])]
+        js = np.flatnonzero(valid & (rank > rank[i]))
+        js = js[np.asarray(implying(int(i), js), dtype=bool)]
         if js.size:
             stats = 2.0 * n * np.maximum(entropy_hat[i] - entropy_hat[js], 0.0)
             tails = _chi2_tail(rank[js] - rank[i], stats)
@@ -542,35 +513,39 @@ def _highest_rank(rank: np.ndarray, valid: np.ndarray) -> int:
     return int(idx[np.lexsort((idx, -rank[idx]))[0]])
 
 
+def _canonical_form(candidate: Union[ArchitectureMatrix, CoefficientMatrix]) -> _RowForm:
+    """The form of a candidate's canonical rows: a coefficient system's
+    RREF, an architecture's own rows."""
+    if isinstance(candidate, CoefficientMatrix):
+        return candidate._form.canonical
+    return candidate._form
+
+
 def _nesting_implies(
     candidates: Sequence[Union[ArchitectureMatrix, CoefficientMatrix]],
-    valid: np.ndarray,
-    rank: np.ndarray,
-) -> Callable[[int], list[int]]:
-    """The ``implying(i)`` oracle of :func:`select_arrays` for solvable
-    candidate ``i``: the solvable candidates of higher effective rank
-    ``rank`` that imply it, the only ones that function reads.  Nesting
-    is read from the canonical rows alone: a coefficient system's RREF,
-    an architecture's own rows.
+) -> Callable[[int, np.ndarray], np.ndarray]:
+    """The ``implying(i, js)`` oracle of :func:`select_arrays`: for each
+    asked ``j`` in ``js``, one
+    :meth:`~maxentkit.constraints._RowForm.within` test of whether the
+    canonical rows of candidate ``j`` (:func:`_canonical_form`) contain
+    those of candidate ``i``.  :func:`select_arrays` asks only about the
+    solvable candidates of higher rank, and ``within`` keeps each answer
+    on the forms, across samples.
 
-    :meth:`~maxentkit.constraints._RowForm.within` keeps each answer on
-    the forms, across samples.  :func:`select` fits every candidate on
-    the moments induced by one ``f``, an architecture's own moments
-    ignored, so the canonical moments are ``S f`` and ``C f`` for
-    canonical rows ``S`` and ``C`` (up to roundoff).  With ``M`` the
-    coefficients of the rows test,
+    :func:`select` fits every candidate on the moments induced by one
+    ``f``, an architecture's own moments ignored, so the canonical
+    moments are ``S f`` and ``C f`` for canonical rows ``S`` and ``C``
+    (up to roundoff).  With ``M`` the coefficients of the rows test,
     ``|S f - M C f| <= max|S - M C| * ||f||_1 = max|S - M C|``: the
-    moments part of :func:`is_nested` holds whenever the rows part does.
+    moments part of :func:`~maxentkit.constraints.is_nested` holds
+    whenever the rows part does.
     """
-    forms = [
-        (cand._form.canonical if isinstance(cand, CoefficientMatrix) else cand._form)
-        if ok else None
-        for cand, ok in zip(candidates, valid.tolist())
-    ]
 
-    def implying(i: int) -> list[int]:
-        higher = np.flatnonzero(valid & (rank > rank[i])).tolist()
-        return [j for j in higher if forms[i].within(forms[j])]
+    def implying(i: int, js: np.ndarray) -> np.ndarray:
+        form = _canonical_form(candidates[i])
+        return np.array(
+            [form.within(_canonical_form(candidates[j])) for j in js.tolist()], dtype=bool
+        )
 
     return implying
 
@@ -584,29 +559,49 @@ def select(
     ids: Optional[Sequence[Union[int, str]]] = None,
     options: Optional[SolveOptions] = None,
 ) -> SelectionResult:
-    """Score all candidates and apply the configured procedure.
+    """Fit, score and choose among the candidates by the configured
+    procedure.
 
-    Unsolvable candidates are dropped with a warning; if none survive,
-    :class:`NoSolvableCandidateError` is raised.  Every candidate is
-    fitted on the moments ``f`` induces, an architecture's own moments
-    ignored.  For ``hyper_maxent_lrt``, nesting is decided from the
-    candidates' full-space canonical rows (see :func:`_nesting_implies`),
-    so the moments are ignored there too.
+    The inputs are checked first: at least one candidate, one id per
+    candidate (their indices by default), ``n`` a positive integer, and
+    ``f`` a point of the probability simplex on the state space of every
+    candidate (see :func:`_induced`); each failure raises
+    :class:`InputError`.  Every candidate is then fitted on the moments
+    ``f`` induces, an architecture's own moments ignored, in one fit
+    table.  Unsolvable candidates, entropy deficits included, are
+    dropped with a warning; if none survive,
+    :class:`NoSolvableCandidateError` is raised.  For
+    ``hyper_maxent_lrt``, nesting is decided from the candidates'
+    canonical rows (see :func:`_nesting_implies`), so the moments are
+    ignored there too.
     """
-    if ids is None:
-        ids = list(range(len(candidates)))
-    table, columns, _ = _score_and_fit(candidates, f, n, ids, options)
-    rank, valid = columns[0], columns[-1]
-    implying = None
-    if config.method == "hyper_maxent_lrt":
-        implying = _nesting_implies(candidates, valid, rank)
-    index, fallback = select_arrays(*columns, candidates[0].n_states, n, config, implying)
+    if not candidates:
+        raise InputError("need at least one candidate")
+    ids = list(range(len(candidates))) if ids is None else ids
+    if len(ids) != len(candidates):
+        raise InputError(f"{len(ids)} ids for {len(candidates)} candidates")
+    _check_sample_size(n)
+    probs = prob_array(f)
+    table = _fit_table(_induced(candidates, probs), options)
+    for i in sorted(table.errors):
+        log.warning("candidate %s failed to solve: %s", ids[i], table.errors[i])
+    rank = table.rank_eff
+    h_hat, h_f, p_value, bic_score, aic_score, valid = _score_fits(
+        table.probabilities, probs, rank, n, ids.__getitem__
+    )
+    scores = ScoreTable(
+        [cid for cid, ok in zip(ids, valid) if ok], h_hat[valid], rank[valid], h_f, probs.size, n
+    )
+    index, fallback = select_arrays(
+        rank, h_hat, p_value, bic_score, aic_score, valid, probs.size, n, config,
+        _nesting_implies(candidates),
+    )
     return SelectionResult(
         chosen_id=ids[index],
         chosen_index=index,
         method=config.method,
         fallback=fallback,
-        scores=table,
+        scores=scores,
         failed_ids=tuple(cid for cid, ok in zip(ids, valid) if not ok),
     )
 

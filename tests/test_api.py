@@ -18,7 +18,10 @@ MODULES = ("bench", "cli", "constraints", "errors", "ising", "selection", "simpl
 #: behaviour now is named beside it.
 REMOVED = {
     "solver": ("solve_newton",),  # fit_linear_system
-    "selection": ("select_scored", "chi2_cdf"),  # select_arrays, _chi2_tail
+    "selection": (
+        "select_scored", "chi2_cdf",  # select_arrays, _chi2_tail
+        "score_candidates",  # select(...).scores and .failed_ids
+    ),
     "constraints": (
         "NestingMap", "nesting_map",  # is_nested
         "SupportReduction", "reduce_binary_support",  # _support_reductions

@@ -7,7 +7,7 @@ import pytest
 import scipy.stats
 
 from maxentkit.constraints import ArchitectureMatrix, CoefficientMatrix, is_nested, to_architecture
-from maxentkit import selection
+from maxentkit import constraints, selection
 from maxentkit.errors import (
     ConvergenceError,
     InputError,
@@ -40,7 +40,6 @@ from maxentkit.selection import (
     mc_test_error,
     mc_training_error,
     score_arrays,
-    score_candidates,
     select,
     select_arrays,
 )
@@ -76,6 +75,15 @@ def marginal_2x2(m1=0.4, m2=0.7):
 def saturated_2x2(f):
     rows = np.vstack([np.ones(4), np.eye(4)[:3]])
     return CoefficientMatrix(rows, rows @ np.asarray(f))
+
+
+def score_each(candidates, f, n, ids=None):
+    """Each candidate's score as :func:`select` keeps it, ``None`` where
+    its fit failed, and the entropy of ``f`` its score table holds."""
+    result = select(candidates, f, n, SelectionConfig(), ids=ids)
+    failed, scores = set(result.failed_ids), iter(result.scores)
+    ids = range(len(candidates)) if ids is None else ids
+    return [None if cid in failed else next(scores) for cid in ids], result.scores._h_f
 
 
 def select_on_scores(scores, n, config, implying=None):
@@ -154,7 +162,7 @@ class TestNestedDeltas:
             marginal_2x2(),
             saturated_2x2(f),
         ]
-        scores, h_f = score_candidates(candidates, f, 1000)
+        scores, h_f = score_each(candidates, f, 1000)
         deltas = [s.empirical_delta for s in scores]
         assert all(a >= b - 1e-10 for a, b in zip(deltas, deltas[1:]))
         assert deltas[-1] == 0.0
@@ -191,6 +199,24 @@ class TestLrtPValue:
         arch = to_architecture(CoefficientMatrix(marginal_2x2().rows, marginal_2x2().rows @ f))
         assert lrt_p_value(arch, arch, f, 1000) == 1.0
 
+    def test_nests_by_rows_not_their_own_moments(self, rng):
+        """Both candidates are fitted on the moments of ``f``, so two
+        architectures built on other distributions nest by their rows."""
+        f_a, f_b, f = rng.dirichlet(np.ones(4), size=3)
+
+        def arch(interactions, p):
+            model = SpinModel.from_interactions(interactions, 2)
+            return to_architecture(to_coefficients(model, p))
+
+        p = lrt_p_value(arch([(1,)], f_a), arch([(1, 2)], f_b), f, 100)
+        assert p == lrt_p_value(arch([(1,)], f), arch([(1, 2)], f), f, 100)
+        assert 0.0 < p < 1.0
+
+    def test_state_count_must_match(self):
+        with pytest.raises(InputError, match="microstate space"):
+            lrt_p_value(to_architecture(norm_only(3)), to_architecture(norm_only(4)),
+                        np.full(4, 0.25), 100)
+
     @staticmethod
     def three_spin_pair(f):
         """The independent and the pairwise three-spin models on ``f``."""
@@ -209,7 +235,7 @@ class TestLrtPValue:
             f /= f.sum()
         simple, complex_ = self.three_spin_pair(f)
         n = 100
-        (s, c), _ = score_candidates([simple, complex_], f, n)
+        (s, c), _ = score_each([simple, complex_], f, n)
         stat = 2.0 * n * max(s.maxent_entropy - c.maxent_entropy, 0.0)
         expected = float(selection._chi2_tail(np.asarray(c.rank - s.rank), np.asarray(stat)))
         assert lrt_p_value(simple, complex_, f, n) == expected
@@ -263,7 +289,7 @@ class TestScoreCandidatesBatch:
         n = 200
         candidates = self.candidates()
         with caplog.at_level("WARNING", logger="maxentkit.selection"):
-            scores, h_f = score_candidates(candidates, F5, n, ids=list("abcdefg"))
+            scores, h_f = score_each(candidates, F5, n, ids=list("abcdefg"))
         assert scores[5] is None
         assert "candidate f failed to solve" in caplog.text
         with pytest.raises(SolverError):
@@ -287,7 +313,7 @@ class TestScoreCandidatesBatch:
         # mass zero is excluded, and the reduced rows keep no all-ones row.
         arch = ArchitectureMatrix(np.kron(np.eye(3), np.ones(2)), np.full(3, 1.0 / 3.0))
         f = np.array([0.1, 0.4, 0.3, 0.2, 0.0, 0.0])
-        (score,), _ = score_candidates([arch], f, 100)
+        (score,), _ = score_each([arch], f, 100)
         assert score.rank == 6 - 2
         assert score.maxent_entropy == pytest.approx(math.log(4), abs=1e-12)
 
@@ -319,7 +345,7 @@ class TestLrtReusesCanonicalForms:
 
             calls = []
             monkeypatch.setattr(
-                selection, "is_nested",
+                constraints, "is_nested",
                 lambda simple, complex_: calls.append(1) or is_nested(simple, complex_),
             )
             reused = select(self.LIBRARY, f, n, config)
@@ -327,7 +353,7 @@ class TestLrtReusesCanonicalForms:
             by_id = {score.architecture_id: score for score in reused.scores}
             expected = select_on_scores(
                 [by_id.get(i) for i in range(len(fresh))], n, config,
-                lambda i: [j for j in range(len(fresh)) if is_nested(fresh[i], fresh[j])],
+                lambda i, js: np.array([is_nested(fresh[i], fresh[j]) for j in js], dtype=bool),
             )
             assert (reused.chosen_index, reused.fallback) == expected
             # Nesting reads the candidates' canonical rows alone, with no
@@ -376,8 +402,11 @@ class TestLrtReusesCanonicalForms:
             for i, c in enumerate(mixed)
         ]
         rank = np.array([arch.rank for arch in fresh])
-        implying = selection._nesting_implies(mixed, np.ones(len(mixed), dtype=bool), rank)
-        nested = [(i, j) for i in range(len(mixed)) for j in implying(i)]
+        implying = selection._nesting_implies(mixed)
+        nested = []
+        for i in range(len(mixed)):
+            js = np.flatnonzero(rank > rank[i])
+            nested += [(i, j) for j in js[implying(i, js)].tolist()]
         assert len(nested) > len(mixed)
         assert nested == [
             (i, j) for i in range(len(mixed)) for j in range(len(mixed))
@@ -409,7 +438,7 @@ class TestInformationCriteria:
     def test_definitions(self, rng):
         f = rng.dirichlet(np.full(4, 3.0))
         n = 1000
-        scores, _ = score_candidates([marginal_2x2()], f, n)
+        scores, _ = score_each([marginal_2x2()], f, n)
         s = scores[0]
         assert bic(marginal_2x2(), f, n) == pytest.approx(
             2 * n * s.maxent_entropy + s.rank * math.log(n), rel=1e-14
@@ -514,6 +543,41 @@ class TestValidation:
             with pytest.raises(InputError, match="finite"):
                 empirical_p_value(candidates[0], f, 100)
 
+    TWO_SPIN = [to_coefficients(m) for m in enumerate_models(2)]
+
+    def test_select_requires_one_id_per_candidate(self):
+        assert len(self.TWO_SPIN) == 5
+        with pytest.raises(InputError, match="2 ids for 5 candidates"):
+            select(self.TWO_SPIN, np.full(4, 0.25), 100, SelectionConfig(), ids=["a", "b"])
+
+    @pytest.mark.parametrize(
+        "f", [[-0.1, 0.5, 0.3, 0.3], [0.25, 0.25, 0.5]], ids=["negative", "short"]
+    )
+    def test_f_must_be_a_distribution_on_the_candidates_states(self, f):
+        model = self.TWO_SPIN[-1]
+        with pytest.raises(InputError):
+            select(self.TWO_SPIN, f, 100, SelectionConfig())
+        for score in (empirical_p_value, bic, aic, expected_entropy):
+            with pytest.raises(InputError):
+                score(model, f, 100)
+
+    def test_candidates_share_one_state_space(self):
+        mixed = self.TWO_SPIN + [norm_only(8), norm_only(4)]
+        with pytest.raises(InputError, match="candidate 5 is on 8 states"):
+            select(mixed, np.full(4, 0.25), 100, SelectionConfig())
+
+    @pytest.mark.parametrize("n", [0, -5, 2.5, True, 100.0])
+    def test_n_must_be_a_positive_integer(self, n):
+        f = np.array([0.1, 0.2, 0.3, 0.4])
+        model, arch = self.TWO_SPIN[-1], to_architecture(self.TWO_SPIN[-1])
+        with pytest.raises(InputError, match="positive integer"):
+            select(self.TWO_SPIN, f, n, SelectionConfig())
+        for score in (empirical_p_value, bic, aic, expected_entropy):
+            with pytest.raises(InputError, match="positive integer"):
+                score(model, f, n)
+        with pytest.raises(InputError, match="positive integer"):
+            lrt_p_value(arch, arch, f, n)
+
     def test_error_estimate(self):
         with pytest.raises(InputError):
             ErrorEstimate(mean=1.0, std_error=0.1, trials=0)
@@ -605,7 +669,7 @@ class TestSelectScoredLrt:
             scores,
             self.N,
             SelectionConfig("hyper_maxent_lrt"),
-            implying=lambda i: {0: [1], 1: []}[i],
+            implying=lambda i, js: np.isin(js, {0: [1], 1: []}[i]),
         )
 
     def test_small_gap_keeps_simple_model(self):
@@ -616,6 +680,25 @@ class TestSelectScoredLrt:
     def test_large_gap_rejects_simple_model(self):
         # Statistic 10.0; tail 0.0067 > 0.006 barely passes, push to 16.
         assert self.run(gap=0.008) == (1, False)
+
+    def test_oracle_asked_only_about_valid_candidates_of_higher_rank(self):
+        # Every higher-rank candidate implies and rejects every lower one,
+        # so each candidate is tested in turn.
+        rank = np.array([4, 6, 6, 4, 7, 5])
+        valid = np.array([True, True, False, True, True, True])
+        asked = []
+
+        def implying(i, js):
+            asked.append((i, js.tolist()))
+            return np.ones(js.size, dtype=bool)
+
+        ones = np.ones(rank.size)
+        chosen = select_arrays(
+            rank, 10.0 - rank, ones, ones, ones, valid, 8, self.N,
+            SelectionConfig("hyper_maxent_lrt"), implying,
+        )
+        assert chosen == (4, False)
+        assert asked == [(0, [1, 4, 5]), (3, [1, 4, 5]), (5, [1, 4]), (1, [4]), (4, [])]
 
     def test_rejected_passers_fall_back_to_highest_rank(self):
         # Only the simple model passes the empirical screen, and the
@@ -664,7 +747,7 @@ class TestSelectEndToEnd:
     def test_score_table_rebuilds_each_score(self, rng):
         f = rng.dirichlet(np.full(4, 3.0))
         candidates = [norm_only(4), marginal_2x2(), saturated_2x2(f)]
-        scores, _ = score_candidates(candidates, f, 100)
+        scores, _ = score_each(candidates, f, 100)
         table = select(candidates, f, 100, SelectionConfig("bic")).scores
         assert isinstance(table, ScoreTable)
         assert len(table) == 3
