@@ -84,7 +84,6 @@ from .solver import (
     MaxEntSolution,
     SolveOptions,
     fit_linear_system,
-    fit_linear_systems,
     sample_equivalence_class,
     solve_ipf,
 )

@@ -33,10 +33,10 @@ uniform.  Warm-started systems the batch flags (singular, runaway, or
 unconverged) are restarted once from uniform, and those still flagged
 get the damped pass (see :func:`~maxentkit.solver._newton_passes`);
 systems that pass cannot fit are refitted together on dense rows by
-the table core of :func:`~maxentkit.solver.fit_linear_systems`,
-``solver._fit_table``, and a model that still
-fails is dropped from that sample's candidate set with a warning.  A
-model whose rows pin its working space is fitted by the sample itself.
+the fit core, :func:`~maxentkit.solver._fit_table`, and a model that
+still fails is dropped from that sample's candidate set with a warning.
+A model whose rows pin its working space is fitted by the sample
+itself.
 
 Every task (realization, sample size, sample index) reseeds its own
 generator from the configured seed, so reports are reproducible
@@ -52,7 +52,6 @@ import csv
 import json
 import logging
 import math
-import numbers
 import os
 from collections import defaultdict
 from dataclasses import dataclass, fields
@@ -61,7 +60,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .constraints import CoefficientMatrix, _support_reductions
-from .errors import InputError
+from .errors import InputError, _check_positive_real
 from .ising import (
     MAX_ENUMERATION_SPINS,
     SpinModel,
@@ -121,6 +120,9 @@ class BenchmarkConfig:
     threads: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("truth", "sample_sizes", "methods"):
+            if not isinstance(getattr(self, name), (tuple, list)):
+                raise InputError(f"{name} must be a list")
         for name in ("n_spins", "n_realizations", "n_samples", "test_samples", "seed", "threads"):
             if not _is_integer(getattr(self, name)):
                 raise InputError(f"{name} must be an integer")
@@ -148,14 +150,10 @@ class BenchmarkConfig:
             raise InputError("sample sizes must not repeat")
         if len(set(self.methods)) < len(self.methods):
             raise InputError("methods must not repeat")
-        if (
-            isinstance(self.alpha_prefactor, bool)
-            or not isinstance(self.alpha_prefactor, numbers.Real)
-            or not self.alpha_prefactor > 0.0
-        ):
-            raise InputError("alpha_prefactor must be a positive number")
+        _check_positive_real(self.alpha_prefactor, "alpha_prefactor")
         if self.threads < 1:
             raise InputError("threads must be at least 1")
+        # Lists, as a JSON config gives them, become tuples.
         object.__setattr__(self, "truth", tuple(tuple(s) for s in self.truth))
         object.__setattr__(self, "sample_sizes", tuple(int(n) for n in self.sample_sizes))
         object.__setattr__(self, "methods", tuple(self.methods))

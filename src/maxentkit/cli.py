@@ -310,13 +310,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     unknown = set(fields) - set(BenchmarkConfig.__dataclass_fields__)
     if unknown:
         raise InputError(f"unknown benchmark config fields: {sorted(unknown)}")
-    for key in ("truth", "sample_sizes", "methods"):
-        if key in fields:
-            if not isinstance(fields[key], list):
-                raise InputError(f"benchmark config field {key} must be a list")
-            fields[key] = tuple(
-                tuple(x) if isinstance(x, list) else x for x in fields[key]
-            )
     if args.threads is not None:
         fields["threads"] = args.threads
     elif "threads" not in fields:

@@ -3,10 +3,14 @@
 Input and construction problems raise :class:`InputError` subclasses,
 numerical solve failures raise :class:`SolverError` subclasses, and
 model-selection failures raise :class:`SelectionError`.  The command line
-maps these groups onto distinct exit codes.
+maps these groups onto distinct exit codes.  :func:`_check_positive_real`
+is the one rule for a setting that must be a finite positive number.
 """
 
 from __future__ import annotations
+
+import math
+import numbers
 
 __all__ = [
     "MaxentError",
@@ -86,3 +90,14 @@ class SelectionError(MaxentError):
 
 class NoSolvableCandidateError(SelectionError):
     """Every candidate architecture failed to solve."""
+
+
+def _check_positive_real(value: object, name: str) -> None:
+    """Raise :class:`InputError` unless ``value`` is a finite positive
+    real number (a bool is not)."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not (math.isfinite(value) and value > 0.0)
+    ):
+        raise InputError(f"{name} must be a finite positive number, got {value!r}")

@@ -55,6 +55,7 @@ from .errors import (
     InputError,
     NoSolvableCandidateError,
     NotNestedError,
+    _check_positive_real,
 )
 from .simplex import (
     Distribution,
@@ -173,11 +174,11 @@ def _induced(
     return out
 
 
-def _check_sample_size(n: object) -> None:
+def _check_sample_size(n: object, name: str = "sample size n") -> None:
     """Raise :class:`InputError` unless ``n`` is a positive integer (a
     bool is not)."""
     if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-        raise InputError(f"sample size n must be a positive integer, got {n!r}")
+        raise InputError(f"{name} must be a positive integer, got {n!r}")
 
 
 def _fit_entropies(
@@ -339,8 +340,7 @@ class SelectionConfig:
             raise InputError(
                 f"unknown method {self.method!r}; expected one of {METHODS}"
             )
-        if not (math.isfinite(self.alpha_prefactor) and self.alpha_prefactor > 0.0):
-            raise InputError("alpha_prefactor must be finite and positive")
+        _check_positive_real(self.alpha_prefactor, "alpha_prefactor")
 
 
 class ScoreTable(Sequence[ModelScore]):
@@ -659,11 +659,10 @@ def mc_training_error(
     model implying the generating architecture the mean approaches
     ``(d - 1) / 2``; otherwise it grows linearly in ``n``.  A fit that
     excludes states observed under ``q`` contributes an infinite
-    divergence, reported as such.
+    divergence, reported as such.  ``q`` must be a distribution, and
+    ``n`` and ``trials`` positive integers.
     """
-    if trials < 1:
-        raise InputError("trials must be at least 1")
-    q_probs = prob_array(q)
+    q_probs = _check_mc_inputs(q, n, trials)
     samples = [multinomial_sample(q_probs, n, rng).counts for _ in range(trials)]
     return _estimate(_scaled_kl(q_probs, _refit(model, samples, n, options), n))
 
@@ -684,17 +683,25 @@ def mc_test_error(
     on every training sample in one batch (see :func:`_refit`), and a
     trial's value is the mean scaled divergence of its test samples
     from its fit.  For a model implying the generating architecture the
-    mean approaches ``(a + d - 2) / 2``.
+    mean approaches ``(a + d - 2) / 2``.  ``q`` must be a distribution,
+    and ``n``, ``trials`` and ``test_trials`` positive integers.
     """
-    if trials < 1 or test_trials < 1:
-        raise InputError("trials and test_trials must be at least 1")
-    q_probs = prob_array(q)
+    q_probs = _check_mc_inputs(q, n, trials)
+    _check_sample_size(test_trials, "test_trials")
     samples, tests = [], []
     for _ in range(trials):
         samples.append(multinomial_sample(q_probs, n, rng).counts)
         tests.append(rng.multinomial(n, q_probs, size=test_trials))
     log_p = _refit(model, samples, n, options)
     return _estimate(_scaled_kl(np.array(tests) / n, log_p[:, None], n).mean(axis=1))
+
+
+def _check_mc_inputs(q: Union[Distribution, np.ndarray], n: object, trials: object) -> np.ndarray:
+    """The probabilities of ``q`` once it is checked as a distribution,
+    and ``n`` and ``trials`` as positive integers."""
+    _check_sample_size(n)
+    _check_sample_size(trials, "trials")
+    return q.probs if isinstance(q, Distribution) else Distribution(q).probs
 
 
 def _refit(

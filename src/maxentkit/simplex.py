@@ -173,24 +173,6 @@ class Distribution:
         if not ok.all():
             cls(probs[int(ok.argmin())])
 
-    @classmethod
-    def stack(cls, probs: np.ndarray) -> list["Distribution"]:
-        """Each row of the 2-d array ``probs`` as a distribution.
-
-        The rows are not checked again: they must have passed
-        :meth:`_check_rows`, which raises what the constructor of the
-        first row that is not a distribution would.  The rows are
-        read-only views of ``probs``, which the caller hands over and
-        must not write to.
-        """
-        probs.setflags(write=False)
-        out = []
-        for row in probs:
-            dist = object.__new__(cls)
-            object.__setattr__(dist, "probs", row)
-            out.append(dist)
-        return out
-
 
 @dataclass(frozen=True)
 class CountVector:

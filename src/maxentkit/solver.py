@@ -1,7 +1,7 @@
 """Maximum-entropy solvers for linearly constrained simplex models.
 
-:func:`fit_linear_systems` is the fit path.  The binary systems run
-the zero-moment exclusion cascade, all in one padded call, so boundary
+:func:`_fit_table` is the fit path.  The binary systems run the
+zero-moment exclusion cascade, all in one padded call, so boundary
 moments (targets of exactly zero or one) shrink the working space
 instead of diverging the multipliers.  Every system, reduced or not,
 is then canonicalized in one padded pass: the row forms not yet
@@ -16,11 +16,11 @@ is solved by the one Newton kernel, :func:`_newton_iterate`.  A padded
 row gets a unit Jacobian diagonal, so its Newton step is exactly zero;
 the width depends on the system alone, so a system gets the same fit
 alone as in any stack.
-:func:`_fit_table` is that core: it returns the fits as one table of
-probabilities, with the effective ranks and the errors by index, which
-is all that scoring reads.  :func:`fit_linear_systems` is the object
-view: it builds each system's :class:`FitResult` from that system's row
-of the table, and is the one fit path that computes multipliers.
+:func:`_fit_table` returns the fits as one table of probabilities, with
+the effective ranks and the errors by index, which is all that scoring
+reads.  :func:`fit_linear_system` is the object view of one system: it
+builds the system's :class:`FitResult` from its row of the table, and
+is the one fit path that computes multipliers.
 Each step multiplies the iterate by ``exp(-rows^T @ delta)`` where
 ``delta`` solves the Jacobian system ``J = rows @ diag(p) @ rows^T``;
 for a full-row-rank architecture and a strictly positive iterate the
@@ -45,8 +45,6 @@ passes of the kernel: undamped; undamped again from uniform for the
 warm-started systems the first pass flags (singular, runaway or
 unconverged); and damped from uniform for the systems still flagged,
 each with its own step size and its own typed error.
-:func:`fit_linear_system` is the one-system call of the fit path, so a
-system gets the same fit alone as inside a batch.
 
 :func:`solve_ipf` reaches the same distribution by multiplicative
 proportional-fitting updates over binary marginal rows; the two agree
@@ -82,6 +80,7 @@ from .errors import (
     SingularJacobianError,
     SolverError,
     ZeroMarginalError,
+    _check_positive_real,
 )
 from .simplex import Distribution
 
@@ -91,7 +90,6 @@ __all__ = [
     "FitResult",
     "solve_ipf",
     "fit_linear_system",
-    "fit_linear_systems",
     "sample_equivalence_class",
 ]
 
@@ -427,11 +425,6 @@ class _FitTable:
     rank_eff: np.ndarray
     errors: dict[int, SolverError]
 
-    @property
-    def valid(self) -> np.ndarray:
-        """Which systems have a fit."""
-        return ~np.isnan(self.probabilities).any(axis=1)
-
 
 def _padded_width(rank: int, n_working: int) -> int:
     """The row count a system of rank ``rank`` below its ``a'`` working
@@ -453,7 +446,7 @@ def _padded_stack(
     # A mask fills its rows in row-major order: system by system.
     rows[~pad] = np.concatenate([architecture.rows for architecture in architectures])
     targets[~pad] = np.concatenate([architecture.moments for architecture in architectures])
-    return _DenseRows.padded(rows, pad), targets
+    return _DenseRows(rows, pad), targets
 
 
 def _fit_table(
@@ -461,8 +454,11 @@ def _fit_table(
     options: Optional[SolveOptions],
 ) -> _FitTable:
     """Canonicalize, reduce, and solve many raw constraint systems on
-    one state space, into one table of fits (see :class:`_FitTable`);
-    see :func:`_fit_stacks`."""
+    one state space, into one table of fits (see :class:`_FitTable`):
+    the batch view of the fit core, which selection, the scalar scores,
+    the Monte-Carlo refits and the benchmark's dense fallback read; see
+    :func:`_fit_stacks`.  An architecture is its own canonical form, so
+    it may be passed as well."""
     return _fit_stacks(systems, options)[0]
 
 
@@ -471,8 +467,9 @@ def _fit_stacks(
     options: Optional[SolveOptions],
 ) -> tuple[_FitTable, list, np.ndarray, np.ndarray]:
     """The fit core: the table of :func:`_fit_table` and, for the object
-    view, each system's entry of :func:`_working_systems` and each fit's
-    Newton steps (0 when read off) and moment residual.
+    view :func:`fit_linear_system`, each system's entry of
+    :func:`_working_systems` and each fit's Newton steps (0 when read
+    off) and moment residual.
 
     The binary systems run the exclusion cascade and every system is
     canonicalized on its working space (see :func:`_working_systems`).
@@ -531,55 +528,6 @@ def _fit_stacks(
     return _FitTable(probs, rank_eff, errors), working, iterations, residuals
 
 
-def fit_linear_systems(
-    systems: Sequence[Union[CoefficientMatrix, ArchitectureMatrix]],
-    options: Optional[SolveOptions] = None,
-) -> list[Union[FitResult, SolverError]]:
-    """Canonicalize, reduce, and solve many raw constraint systems.
-
-    The systems of each state count are fitted by the core of
-    :func:`_fit_table`: the binary ones run the exclusion cascade, every
-    system is canonicalized on its working space, a saturated one is
-    read off directly, and the others are solved in one padded Newton
-    stack per working-state count and padded width.  An architecture is
-    its own canonical form, so it may be passed as well.  Every system's
-    fit depends on that system alone, not on its stack.  This view reads
-    each system's fit from its row of the table and builds its
-    :class:`MaxEntSolution`, with the multipliers, the least squares of
-    ``log p`` on the system's rows, where the fit came from Newton steps
-    and is strictly positive.
-
-    Returns one entry per system, in order: its :class:`FitResult`, or
-    the :class:`SolverError` that stopped it.  Input errors raise.
-    """
-    results: list[Union[FitResult, SolverError, None]] = [None] * len(systems)
-    spaces: dict[int, list[int]] = defaultdict(list)
-    for i, system in enumerate(systems):
-        spaces[system.n_states].append(i)
-    for members in spaces.values():
-        table, working, iterations, residuals = _fit_stacks(
-            [systems[i] for i in members], options
-        )
-        for k, i in enumerate(members):
-            if k in table.errors:
-                results[i] = table.errors[k]
-                continue
-            _, architecture, excluded = working[k]
-            # The table has checked the row (see Distribution.stack).
-            (distribution,) = Distribution.stack(table.probabilities[k][None, ~excluded])
-            p, multipliers = distribution.probs, None
-            # A saturated fit is read off, not reached by Newton steps; a
-            # state whose probability underflowed to zero has no finite
-            # multipliers.
-            if architecture.rank < architecture.n_states and (p > 0.0).all():
-                (multipliers,) = _multipliers(architecture.rows[None], p[None])
-            solution = MaxEntSolution(
-                distribution, multipliers, int(iterations[k]), float(residuals[k])
-            )
-            results[i] = _fit_result(systems[i], architecture, excluded, solution)
-    return results
-
-
 def fit_linear_system(
     system: Union[CoefficientMatrix, ArchitectureMatrix],
     options: Optional[SolveOptions] = None,
@@ -587,10 +535,14 @@ def fit_linear_system(
 ) -> FitResult:
     """Canonicalize, reduce, and solve one raw constraint system.
 
-    ``method="newton"`` is :func:`fit_linear_systems` on a batch of one
-    and raises its error, if any.  ``method="ipf"`` runs the same
-    exclusion cascade and saturated read-off, then :func:`solve_ipf` on
-    the reduced system.
+    ``method="newton"`` is the fit core (see :func:`_fit_stacks`) on a
+    batch of one, and raises its error, if any.  Every fit depends on its
+    system alone, so the system gets the same fit here as in any batch
+    of :func:`_fit_table`.  The :class:`MaxEntSolution` holds the
+    multipliers, the least squares of ``log p`` on the system's rows,
+    where the fit came from Newton steps and is strictly positive.
+    ``method="ipf"`` runs the same exclusion cascade and saturated
+    read-off, then :func:`solve_ipf` on the reduced system.
 
     Parameters
     ----------
@@ -601,10 +553,20 @@ def fit_linear_system(
     if method not in ("newton", "ipf"):
         raise InputError(f"unknown solve method {method!r}")
     if method == "newton":
-        (fit,) = fit_linear_systems([system], options)
-        if isinstance(fit, SolverError):
-            raise fit
-        return fit
+        table, (work,), iterations, residuals = _fit_stacks([system], options)
+        if table.errors:
+            raise table.errors[0]
+        _, architecture, excluded = work
+        p, multipliers = table.probabilities[0, ~excluded], None
+        # A saturated fit is read off, not reached by Newton steps; a
+        # state whose probability underflowed to zero has no finite
+        # multipliers.
+        if architecture.rank < architecture.n_states and (p > 0.0).all():
+            (multipliers,) = _multipliers(architecture.rows[None], p[None])
+        solution = MaxEntSolution(
+            Distribution(p), multipliers, int(iterations[0]), float(residuals[0])
+        )
+        return _fit_result(system, architecture, excluded, solution)
     (work,) = _working_systems([system])
     if isinstance(work, SolverError):
         raise work
@@ -631,7 +593,7 @@ def sample_equivalence_class(
     ``x`` standard normal, which satisfies the anchor's constraints by
     construction and models the moment-preserving fluctuations of an
     ``n``-sample empirical distribution.  Draws that leave the simplex
-    are rejected and retried.
+    are rejected and retried.  ``n`` must be a finite positive number.
 
     Raises
     ------
@@ -640,8 +602,7 @@ def sample_equivalence_class(
         ``n`` is then too small for Gaussian fluctuations to stay
         inside the simplex.
     """
-    if n <= 0:
-        raise InputError("sample size must be positive")
+    _check_positive_real(n, "sample size n")
     anchor = solution.distribution.probs
     if anchor.size != kernel.anchor.size:
         raise InputError("solution and kernel disagree on state count")
@@ -661,8 +622,9 @@ class _DenseRows:
     """A stack of row matrices, ``(g, d, a)``, of any real coefficients:
     the rows of :func:`_fit_table`.
 
-    ``pad`` ``(g, d)`` marks padding: zero rows, of target zero, that
-    fill a system of fewer rows up to ``d`` (see :meth:`padded`).  The
+    ``pad`` ``(g, d)``, no padding when omitted, marks padding: zero
+    rows, of target zero, that fill a system of fewer rows up to ``d``
+    (see :func:`_padded_stack`).  The
     Jacobian gets a unit diagonal at a padded row, so a padded block is
     the identity and its Newton step is exactly zero.  The mask is
     explicit because a real row may be zero on the working states too.
@@ -672,21 +634,14 @@ class _DenseRows:
     moments and the Jacobian at ``p`` are read from; here ``p`` itself.
     """
 
-    def __init__(self, stack: np.ndarray) -> None:
+    def __init__(self, stack: np.ndarray, pad: Optional[np.ndarray] = None) -> None:
         # C order: the batched matmuls round by layout.
         self.stack = np.ascontiguousarray(stack)
         self.shape = self.stack.shape
-        self.pad = np.zeros(self.shape[:2], dtype=bool)
-
-    @classmethod
-    def padded(cls, stack: np.ndarray, pad: np.ndarray) -> "_DenseRows":
-        """The rows ``stack`` whose rows at the mask ``pad`` are padding."""
-        rows = cls(stack)
-        rows.pad = pad
-        return rows
+        self.pad = np.zeros(self.shape[:2], dtype=bool) if pad is None else pad
 
     def take(self, idx) -> "_DenseRows":
-        return _DenseRows.padded(self.stack[idx], self.pad[idx])
+        return _DenseRows(self.stack[idx], self.pad[idx])
 
     def dense(self) -> np.ndarray:
         return self.stack
@@ -821,26 +776,15 @@ def _newton_passes(
                 np.full((retry.size, n_states), uniform), *limits,
             )
             flagged = np.flatnonzero(~converged)
-    errors: dict[int, SolverError] = {}
+    damped_errors: dict[int, SolverError] = {}
     if flagged.size:
-        (p[flagged], residuals[flagged], converged[flagged], steps[flagged],
-         damped_errors) = _damped_pass(rows.take(flagged), target_stack[flagged], opts)
-        errors = {int(flagged[k]): exc for k, exc in damped_errors.items()}
+        p[flagged], residuals[flagged], converged[flagged], steps[flagged] = _newton_iterate(
+            rows.take(flagged), target_stack[flagged],
+            np.full((flagged.size, n_states), uniform), opts.tolerance,
+            opts.max_iterations or NEWTON_DEFAULT_ITERATIONS, _EXP_OVERFLOW, damped_errors,
+        )
+    errors = {int(flagged[k]): exc for k, exc in damped_errors.items()}
     return p, residuals, converged, steps, errors
-
-
-def _damped_pass(
-    rows: _Rows, target_stack: np.ndarray, opts: SolveOptions
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, dict[int, SolverError]]:
-    """The damped pass of :func:`_newton_passes`, from uniform, with a
-    typed error for each system that does not converge."""
-    n_systems, _, n_states = rows.shape
-    cap, errors = opts.max_iterations or NEWTON_DEFAULT_ITERATIONS, {}
-    fit = _newton_iterate(
-        rows, target_stack, np.full((n_systems, n_states), 1.0 / n_states),
-        opts.tolerance, cap, _EXP_OVERFLOW, errors,
-    )
-    return (*fit, errors)
 
 
 def _newton_iterate(

@@ -17,7 +17,10 @@ MODULES = ("bench", "cli", "constraints", "errors", "ising", "selection", "simpl
 #: Names removed from the API, by module; the entry that serves each
 #: behaviour now is named beside it.
 REMOVED = {
-    "solver": ("solve_newton",),  # fit_linear_system
+    "solver": (
+        "solve_newton",  # fit_linear_system
+        "fit_linear_systems",  # _fit_table, select, fit_linear_system
+    ),
     "selection": (
         "select_scored", "chi2_cdf",  # select_arrays, _chi2_tail
         "score_candidates",  # select(...).scores and .failed_ids

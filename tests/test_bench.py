@@ -44,6 +44,11 @@ TINY = dict(
 )
 
 
+def has_fit(table):
+    """Which models of a fit table have a fit: a row without NaN."""
+    return ~np.isnan(table.probabilities).any(axis=1)
+
+
 @pytest.fixture(scope="module")
 def five_spin_ctx():
     return _Context(BenchmarkConfig())
@@ -98,11 +103,16 @@ class TestConfig:
         {"n_spins": 7, "truth": ((1, 2),)},
         {"alpha_prefactor": "1"},
         {"alpha_prefactor": float("nan")},
+        {"alpha_prefactor": float("inf")},
+        {"sample_sizes": 100},
+        {"truth": 12},
+        {"methods": {"bic"}},
     ], ids=str)
     def test_malformed_fields_rejected(self, fields):
         """Integer fields must be integers (not bools, not floats, which
-        were truncated or failed deep in a run), and the truth must lie
-        on the spins."""
+        were truncated or failed deep in a run), the truth must lie on
+        the spins, the sequence fields must be lists or tuples, and the
+        prefactor a finite positive number."""
         with pytest.raises(InputError):
             BenchmarkConfig(**fields)
 
@@ -311,7 +321,7 @@ class TestFitTableCrossValidation:
             for k, model in enumerate(ctx.models):
                 system = to_coefficients(model, f)
                 fit = fit_linear_system(system)
-                assert table.valid[k]
+                assert has_fit(table)[k]
                 assert table.rank_eff[k] == fit.rank_effective
                 assert np.max(np.abs(table.probabilities[k] - fit.probabilities)) < 1e-7
 
@@ -327,7 +337,7 @@ class TestFitTableCrossValidation:
             n = int(counts.sum())
             table = _fit_all_models(ctx, counts, n)
             f = counts / n
-            assert table.valid.all()
+            assert has_fit(table).all()
             for k, model in enumerate(ctx.models):
                 system = to_coefficients(model, f)
                 p = table.probabilities[k]
@@ -357,7 +367,7 @@ class TestFitTableCrossValidation:
         assert pinned.size
         assert all(rank < a for rank in fallback_ranks)
         for k in pinned:
-            assert table.valid[k]
+            assert has_fit(table)[k]
             assert np.array_equal(table.probabilities[k], f)
 
     def test_five_spin_warm_started_table(self, five_spin_ctx):
@@ -372,7 +382,7 @@ class TestFitTableCrossValidation:
         f = counts / n
         for k in range(0, len(ctx.models), 50):
             fit = fit_linear_system(to_coefficients(ctx.models[k], f))
-            assert table.valid[k]
+            assert has_fit(table)[k]
             assert table.rank_eff[k] == fit.rank_effective
             assert np.max(np.abs(table.probabilities[k] - fit.probabilities)) < 1e-7
 
@@ -599,7 +609,7 @@ class TestProductRows:
         assert all(warm.interior_rows[d] is rows for d, rows in cached.items())
         fresh = _fit_all_models(_Context(BenchmarkConfig()), second, 10_000)
         assert np.array_equal(reused.probabilities, fresh.probabilities)
-        assert np.array_equal(reused.valid, fresh.valid)
+        assert np.array_equal(has_fit(reused), has_fit(fresh))
 
     @staticmethod
     def check_forms_agree(rows, p, delta):

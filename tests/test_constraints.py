@@ -21,7 +21,7 @@ from maxentkit.errors import (
     InputError,
 )
 from maxentkit.simplex import Distribution
-from maxentkit.solver import fit_linear_system, fit_linear_systems
+from maxentkit.solver import _fit_stacks, fit_linear_system
 
 
 def support_reduction(rows, moments):
@@ -284,15 +284,22 @@ class TestLockstepReplay:
             CoefficientMatrix(marginal_2x2().rows, np.array([1.0, 0.0, 0.7])),
             marginal_2x2().with_moments(np.array([1.0, 0.25, 0.5])),
         ]
-        fits = fit_linear_systems(systems)
-        assert fits[3].excluded.tolist() == [False, False, True, True]
-        for system, fit in zip(systems, fits):
+        # The fit core's working entries, one batch per state space.
+        working = {}
+        for n_states in (4, 6):
+            members = [i for i, system in enumerate(systems) if system.n_states == n_states]
+            _, entries, _, _ = _fit_stacks([systems[i] for i in members], None)
+            working.update(zip(members, entries))
+        assert working[3][2].tolist() == [False, False, True, True]
+        for i, system in enumerate(systems):
+            _, architecture, excluded = working[i]
             rows, moments = system.rows, system.moments
-            if fit.excluded.any():
+            if excluded.any():
                 _, _, rows, moments = support_reduction(rows, moments)
             reference_rows, canonical, _ = augmented_rref(rows, moments)
-            assert np.array_equal(fit.architecture.rows, reference_rows)
-            assert np.array_equal(fit.architecture.moments, canonical)
+            for each in (architecture, fit_linear_system(system).architecture):
+                assert np.array_equal(each.rows, reference_rows)
+                assert np.array_equal(each.moments, canonical)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_stack_matches_each_system_alone(self, seed):

@@ -530,6 +530,10 @@ class TestValidation:
         for prefactor in (0.0, math.nan, math.inf, -math.inf):
             with pytest.raises(InputError):
                 SelectionConfig("hyper_maxent", alpha_prefactor=prefactor)
+        # Nor is a bool or a string a prefactor.
+        for prefactor in (True, "1"):
+            with pytest.raises(InputError, match="alpha_prefactor"):
+                SelectionConfig("hyper_maxent", alpha_prefactor=prefactor)
         assert SelectionConfig().method == "bic"
 
     def test_non_finite_distribution(self):
@@ -793,6 +797,43 @@ class TestMonteCarloErrors:
     def test_trials_validated(self, rng):
         with pytest.raises(InputError):
             mc_training_error(norm_only(3), np.full(3, 1 / 3), 100, 0, rng)
+
+    @staticmethod
+    def estimates(q, n, trials, test_trials, rng):
+        """Both errors of the two-spin saturated model."""
+        model = to_coefficients(SpinModel.from_interactions([(1, 2)], 2))
+        return (
+            lambda: mc_training_error(model, q, n, trials, rng),
+            lambda: mc_test_error(model, q, n, trials, test_trials, rng),
+        )
+
+    @pytest.mark.parametrize("q, message", [
+        ([0.2, 0.5, 0.3, 0.3], "sum to"), ([0.6, 0.5, -0.1, 0.0], "negative"),
+    ], ids=["sum_1.3", "negative"])
+    def test_q_must_be_a_distribution(self, rng, q, message):
+        # numpy's multinomial reads the last entry as the remainder of the
+        # others, so an unchecked q that sums to 1.3 never draws that state.
+        for estimate in self.estimates(q, 100, 2, 2, rng):
+            with pytest.raises(InputError, match=message):
+                estimate()
+
+    @pytest.mark.parametrize("n", [True, 2.5], ids=["bool", "fraction"])
+    def test_n_must_be_a_positive_integer(self, rng, n):
+        for estimate in self.estimates(np.full(4, 0.25), n, 2, 2, rng):
+            with pytest.raises(InputError, match="sample size n must be a positive integer"):
+                estimate()
+
+    @pytest.mark.parametrize("trials", [True, 2.5], ids=["bool", "fraction"])
+    def test_trials_must_be_a_positive_integer(self, rng, trials):
+        for estimate in self.estimates(np.full(4, 0.25), 100, trials, 2, rng):
+            with pytest.raises(InputError, match="trials must be a positive integer"):
+                estimate()
+
+    @pytest.mark.parametrize("test_trials", [True, 2.5, 0], ids=["bool", "fraction", "zero"])
+    def test_test_trials_must_be_a_positive_integer(self, rng, test_trials):
+        _, test_error = self.estimates(np.full(4, 0.25), 100, 2, test_trials, rng)
+        with pytest.raises(InputError, match="test_trials must be a positive integer"):
+            test_error()
 
 
 def _fit_trial(model, counts, n, options):

@@ -93,6 +93,11 @@ class TestDistribution:
         assert np.array_equal(prob_array(d), d.probs)
         assert np.array_equal(prob_array([0.25, 0.75]), [0.25, 0.75])
 
+    def test_every_distribution_is_checked(self):
+        # No constructor skips the simplex check: the unchecked batch
+        # constructor ``stack`` is gone.
+        assert not hasattr(Distribution, "stack")
+
 
 class TestCountVector:
     def test_integral_floats_accepted(self):
