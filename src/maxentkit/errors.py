@@ -4,7 +4,8 @@ Input and construction problems raise :class:`InputError` subclasses,
 numerical solve failures raise :class:`SolverError` subclasses, and
 model-selection failures raise :class:`SelectionError`.  The command line
 maps these groups onto distinct exit codes.  :func:`_check_positive_real`
-is the one rule for a setting that must be a finite positive number.
+is the one rule for a setting that must be a finite positive number, and
+:func:`_check_sample_size` for a count that must be a positive integer.
 """
 
 from __future__ import annotations
@@ -101,3 +102,10 @@ def _check_positive_real(value: object, name: str) -> None:
         or not (math.isfinite(value) and value > 0.0)
     ):
         raise InputError(f"{name} must be a finite positive number, got {value!r}")
+
+
+def _check_sample_size(n: object, name: str = "sample size n") -> None:
+    """Raise :class:`InputError` unless ``n`` is a positive integer (a
+    bool is not)."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise InputError(f"{name} must be a positive integer, got {n!r}")

@@ -14,13 +14,13 @@ seeds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
-from .errors import InputError, SupportViolationError
+from .errors import InputError, SupportViolationError, _check_sample_size
 
 __all__ = [
     "MicrostateSpace",
@@ -95,6 +95,14 @@ def prob_array(p: Union["Distribution", Sequence[float], np.ndarray]) -> np.ndar
     if isinstance(p, Distribution):
         return p.probs
     return np.asarray(p, dtype=float)
+
+
+def _checked_probs(p: Union["Distribution", Sequence[float], np.ndarray]) -> np.ndarray:
+    """The probabilities of ``p`` once :class:`Distribution` has checked
+    them (a :class:`Distribution` is checked already)."""
+    if isinstance(p, Distribution):
+        return p.probs
+    return Distribution(p).probs
 
 
 @dataclass(frozen=True)
@@ -212,8 +220,7 @@ def entropy(p: Union[Distribution, Sequence[float], np.ndarray]) -> float:
     Zero entries contribute nothing; the result lies in
     ``[0, log(n_states)]`` for any simplex point.
     """
-    probs = prob_array(p)
-    return float(-xlogy(probs, probs).sum())
+    return float(-_xlogx(prob_array(p)).sum())
 
 
 def kl_divergence(
@@ -225,16 +232,19 @@ def kl_divergence(
     Parameters
     ----------
     f, q : array-like
-        Distributions over the same space.  Every state carrying mass
-        under ``f`` must carry mass under ``q``.
+        Distributions over the same space, each checked as a
+        :class:`Distribution`.  Every state carrying mass under ``f`` must
+        carry mass under ``q``.
 
     Raises
     ------
+    InputError
+        If ``f`` or ``q`` is not a distribution.
     SupportViolationError
         If ``f`` puts mass where ``q`` is zero.
     """
-    fv = prob_array(f)
-    qv = prob_array(q)
+    fv = _checked_probs(f)
+    qv = _checked_probs(q)
     if fv.shape != qv.shape:
         raise InputError("distributions must share one microstate space")
     bad = (fv > 0.0) & (qv == 0.0)
@@ -244,6 +254,17 @@ def kl_divergence(
         )
     mask = fv > 0.0
     return float(np.sum(fv[mask] * (np.log(fv[mask]) - np.log(qv[mask]))))
+
+
+def _xlogx(p: np.ndarray) -> np.ndarray:
+    """Elementwise ``p log p``: zero where ``p`` is zero, NaN where it is
+    NaN or negative (as its logarithm is), so a failed fit's NaN row
+    keeps a NaN entropy."""
+    out = np.zeros(p.shape)
+    with np.errstate(invalid="ignore"):
+        np.log(p, out=out, where=p != 0)
+    out *= p
+    return out
 
 
 def _log_probs(p: np.ndarray) -> np.ndarray:
@@ -262,7 +283,7 @@ def _scaled_kl(weights: np.ndarray, log_p: np.ndarray, n: int) -> np.ndarray:
     # arithmetic while letting weight > 0 against an excluded state
     # still produce the infinite divergence it deserves.
     cross = (weights * np.where(weights > 0, log_p, 0.0)).sum(axis=-1)
-    return n * (xlogy(weights, weights).sum(axis=-1) - cross)
+    return n * (_xlogx(weights).sum(axis=-1) - cross)
 
 
 def log_multinomial_pmf(
@@ -271,12 +292,15 @@ def log_multinomial_pmf(
 ) -> float:
     """Log-probability of a multinomial count vector under ``q``.
 
-    Computed as ``log N! - sum(log c_a!) + sum(c_a log q_a)`` via
-    ``gammaln``; states with zero count contribute nothing even when
-    ``q_a = 0``.
+    Computed as ``log N! - sum(log c_a!) + sum(c_a log q_a)``, the log
+    factorials by ``math.lgamma`` and summed by ``math.fsum``; states
+    with zero count contribute nothing even when ``q_a = 0``.  ``q`` is
+    checked as a :class:`Distribution`.
 
     Raises
     ------
+    InputError
+        If ``q`` is not a distribution.
     SupportViolationError
         If a positive count sits on a state of zero probability.
     """
@@ -284,7 +308,7 @@ def log_multinomial_pmf(
         cv = counts.counts
     else:
         cv = CountVector(np.asarray(counts)).counts
-    qv = prob_array(q)
+    qv = _checked_probs(q)
     if cv.shape != qv.shape:
         raise InputError("counts and probabilities must share one space")
     bad = (cv > 0) & (qv == 0.0)
@@ -292,8 +316,7 @@ def log_multinomial_pmf(
         raise SupportViolationError(
             f"positive count outside support at state index {int(np.argmax(bad))}"
         )
-    n = cv.sum()
-    log_coeff = gammaln(n + 1.0) - gammaln(cv + 1.0).sum()
+    log_coeff = math.lgamma(cv.sum() + 1.0) - math.fsum(map(math.lgamma, (cv + 1.0).tolist()))
     mask = cv > 0
     return float(log_coeff + np.sum(cv[mask] * np.log(qv[mask])))
 
@@ -303,9 +326,8 @@ def multinomial_sample(
     n: int,
     rng: np.random.Generator,
 ) -> CountVector:
-    """Draw one multinomial count vector of total ``n`` from ``q``."""
-    if n <= 0:
-        raise InputError("sample size must be positive")
-    qv = prob_array(q)
-    counts = rng.multinomial(n, qv)
-    return CountVector(counts)
+    """Draw one multinomial count vector of total ``n`` from ``q``.
+    ``q`` is checked as a :class:`Distribution` and ``n`` as a positive
+    integer."""
+    _check_sample_size(n)
+    return CountVector(rng.multinomial(n, _checked_probs(q)))

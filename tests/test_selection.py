@@ -111,21 +111,32 @@ class TestChi2Cdf:
         assert tails == pytest.approx(np.exp(-xs / 2), rel=1e-13, abs=0.0)
 
     def test_matches_scipy(self):
-        dof = np.arange(1, 30)
-        xs = np.linspace(0.0, 120.0, 61)
+        # Every dof of a five-spin sweep and its LRT (1 to 31), and larger
+        # ones on both sides of the largest dof whose table is kept.
+        dof = np.concatenate([np.arange(1, 32), [40, 64, 255, 256, 1000]])
+        xs = np.concatenate([[0.0], np.geomspace(1e-3, 2000.0, 600)])
         k, x = np.meshgrid(dof, xs)
+        tails = selection._chi2_tail(k, x)
         expected = scipy.stats.chi2.sf(x, k)
-        assert selection._chi2_tail(k, x) == pytest.approx(expected, rel=1e-12, abs=1e-300)
+        assert tails == pytest.approx(expected, rel=1e-12, abs=1e-300)
+        # An entry's tail does not depend on the others in its call.
+        for j, d in enumerate(dof):
+            assert np.array_equal(selection._chi2_tail(np.full(xs.size, d), xs), tails[:, j])
 
     def test_zero_dof_is_one(self):
         assert selection._chi2_tail(np.array([0, 0]), np.array([0.0, 5.0])).tolist() == [1.0, 1.0]
+        tails = selection._chi2_tail(np.array([0, 3]), np.array([np.nan, np.nan]))
+        assert tails[0] == 1.0 and np.isnan(tails[1])
 
     def test_monotone_in_x(self):
-        xs = np.linspace(0.0, 20.0, 50)
-        vals = selection._chi2_tail(np.full(xs.size, 3), xs)
-        assert vals[0] == 1.0
-        assert np.all(np.diff(vals) <= 0.0)
-        assert vals[-1] < 0.001
+        # Keeping only the smallest LRT statistic per dof is exact only if
+        # the tail never rises with x.
+        xs = np.arange(200_001) * 0.002
+        for k in [*range(1, 32), 64, 300]:
+            vals = selection._chi2_tail(np.full(xs.size, k), xs)
+            assert vals[0] == 1.0
+            assert np.all(np.diff(vals) <= 0.0), k
+            assert vals[-1] < 0.001
 
 
 class TestEmpiricalPValue:
@@ -459,6 +470,19 @@ class TestInformationCriteria:
 
 
 class TestScoreArrays:
+    def test_failed_fit_stays_invalid(self):
+        # A failed fit is a NaN row; its entropy must stay NaN, or it
+        # would score as a valid fit of zero entropy.
+        fits = np.array([[0.25, 0.25, 0.25, 0.25], [np.nan] * 4, [0.4, 0.3, 0.2, 0.1]])
+        f = np.array([0.7, 0.1, 0.1, 0.1])
+        h_hat, h_f, p, _, _, valid = selection._score_fits(
+            fits, f, np.array([1, 3, 4]), 100, str
+        )
+        assert valid.tolist() == [True, False, True]
+        assert np.isnan(h_hat[1]) and np.isnan(p[1])
+        assert h_hat[0] == entropy(fits[0]) and h_hat[2] == entropy(fits[2])
+        assert h_f == entropy(f)
+
     def test_zero_dof_scores_one(self):
         delta, p, *_ = score_arrays(np.array([1.2]), 1.0, np.array([4]), 4, 100)
         assert delta[0] == pytest.approx(0.2)

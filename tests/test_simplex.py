@@ -163,6 +163,16 @@ class TestKLDivergence:
         with pytest.raises(InputError):
             kl_divergence([0.5, 0.5], [1.0])
 
+    def test_reference_off_the_simplex_rejected(self):
+        # Unchecked, these gave a negative KL and a NaN after a warning.
+        for q in ([0.7, 0.7], [2.0, -1.0]):
+            with pytest.raises(InputError):
+                kl_divergence([0.5, 0.5], q)
+
+    def test_argument_off_the_simplex_rejected(self):
+        with pytest.raises(InputError):
+            kl_divergence([0.5, 0.7], [0.5, 0.5])
+
     @given(simplex_points(min_size=3, max_size=6), simplex_points(min_size=3, max_size=6))
     @settings(max_examples=50, deadline=None)
     def test_nonnegative(self, p, q):
@@ -197,6 +207,12 @@ class TestLogMultinomialPmf:
         value = log_multinomial_pmf([2, 0], [1.0, 0.0])
         assert value == pytest.approx(0.0, abs=1e-14)
 
+    def test_reference_off_the_simplex_rejected(self):
+        # Unchecked, these gave -2.513 and a NaN after a warning.
+        for q in ([0.2, 0.5, 0.3, 0.3], [0.5, 0.7, -0.2, 0.0]):
+            with pytest.raises(InputError):
+                log_multinomial_pmf([1, 2, 3, 0], q)
+
 
 class TestMultinomialSample:
     def test_total_and_determinism(self):
@@ -210,3 +226,13 @@ class TestMultinomialSample:
         q = Distribution([0.5, 0.0, 0.5])
         counts = multinomial_sample(q, 200, rng)
         assert counts.counts[1] == 0
+
+    def test_reference_off_the_simplex_rejected(self, rng):
+        # Unchecked, this drew [21 52 27 0]: numpy ignores the last entry.
+        with pytest.raises(InputError):
+            multinomial_sample([0.2, 0.5, 0.3, 0.3], 100, rng)
+
+    @pytest.mark.parametrize("n", [True, 2.5, float("nan"), 0, -3])
+    def test_sample_size_must_be_a_positive_integer(self, rng, n):
+        with pytest.raises(InputError, match="positive integer"):
+            multinomial_sample(Distribution([0.5, 0.5]), n, rng)
